@@ -19,7 +19,6 @@ from .corpus import (
     WSJ_LIKE,
     generate_corpus,
     read_corpus,
-    take_prefix_by_instances,
     write_corpus,
 )
 from .evalstats import (
@@ -32,7 +31,7 @@ from .evalstats import (
     score_run,
     summarize,
 )
-from .mbsl import MbslConfig, MbslModel, Tile, mbsl_deserialize, mbsl_predict, mbsl_serialize, mbsl_train
+from .mbsl import MbslConfig, MbslModel, Tile, mbsl_predict, mbsl_train
 from .resample import (
     BootstrapPlan,
     CvPlan,
@@ -40,7 +39,6 @@ from .resample import (
     PrngStream,
     derive_stream,
     fnv1a64,
-    heldout_view,
     plan_bootstrap,
     plan_cv,
     training_view,
@@ -50,9 +48,7 @@ from .winnow import (
     WinnowNetwork,
     WinnowUnit,
     extract_features,
-    winnow_deserialize,
     winnow_predict,
-    winnow_serialize,
     winnow_train,
 )
 

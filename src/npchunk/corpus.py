@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .resample import PrngStream
 
@@ -103,10 +103,6 @@ class Corpus:
         return max((len(s.gold_spans) for s in self.sentences), default=0)
 
 
-def sentence_instance_counts(corpus: Corpus) -> list[int]:
-    return [len(s.gold_spans) for s in corpus.sentences]
-
-
 # ---------------------------------------------------------------------------
 # IOB2 file I/O
 
@@ -144,7 +140,7 @@ def read_corpus(path: str | Path, name: str | None = None) -> Corpus:
     first_line = 1
     with open(path, encoding="utf-8", newline="") as handle:
         for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
+            line = raw.rstrip("\r\n")
             if not line:
                 if rows:
                     sentences.append(_sentence_from_rows(rows, first_line))
@@ -258,24 +254,6 @@ def generate_corpus(grammar: GenreGrammar, n_sentences: int, rng: PrngStream,
         emit(_weighted_choice(grammar.glue_patterns, rng))
         sentences.append(Sentence(tuple(tokens), tuple(spans)))
     return Corpus(name if name is not None else grammar.name, tuple(sentences))
-
-
-def take_prefix_by_instances(corpus: Corpus, min_instances: int) -> Corpus:
-    """Shortest sentence prefix holding at least min_instances base-NPs.
-
-    Sentences are never split, so the result may overshoot by up to the
-    instance count of its last sentence minus one.
-    """
-    if min_instances < 1:
-        raise ValueError("min_instances must be >= 1")
-    acc = 0
-    for idx, sentence in enumerate(corpus.sentences):
-        acc += len(sentence.gold_spans)
-        if acc >= min_instances:
-            return Corpus(corpus.name, corpus.sentences[: idx + 1])
-    raise ValueError(
-        f"corpus has {acc} instances, fewer than the requested {min_instances}"
-    )
 
 
 # Two built-in genres mirroring the newswire-vs-dialogue contrast: elaborate

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import math
-import os
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,8 +35,16 @@ class ConfigError(ValueError):
     pass
 
 
-_MBSL_ALIASES = {"c": "context_size"}
-_WINNOW_ALIASES = {"alpha": "promotion", "beta": "demotion", "theta": "threshold"}
+# system kind -> (learner config class, parameter aliases)
+_KINDS = {
+    "mbsl": (mbsl.MbslConfig, {"c": "context_size"}),
+    "winnow": (
+        winnow.WinnowConfig,
+        {"alpha": "promotion", "beta": "demotion", "theta": "threshold"},
+    ),
+}
+# parameter -> the alias that names it in generated labels
+_SHORT = {name: alias for _, aliases in _KINDS.values() for alias, name in aliases.items()}
 
 
 @dataclass(frozen=True)
@@ -49,22 +56,24 @@ class SystemSpec:
     params: tuple[tuple[str, str], ...]
 
     def build(self):
-        fields = {k: v for k, v in self.params}
-        if self.kind == "mbsl":
-            return mbsl.MbslConfig(
-                context_size=int(fields.pop("context_size", 1)),
-                max_tile_len=int(fields.pop("max_tile_len", 6)),
-                tile_threshold=float(fields.pop("tile_threshold", 0.5)),
-                min_positive_count=int(fields.pop("min_positive_count", 1)),
+        """The learner config. Parameters are the config class's fields,
+        each value cast to its default's type; any other name is an error."""
+        if self.kind not in _KINDS:
+            raise ConfigError(f"unknown system kind {self.kind!r}")
+        config_cls, aliases = _KINDS[self.kind]
+        defaults = {f.name: f.default for f in dataclasses.fields(config_cls)}
+        for name, _ in self.params:
+            if name not in defaults:
+                known = ", ".join([*aliases, *defaults, "label"])
+                raise ConfigError(
+                    f"unknown {self.kind} parameter {name!r} (known: {known})"
+                )
+        try:
+            return config_cls(
+                **{name: type(defaults[name])(value) for name, value in self.params}
             )
-        if self.kind == "winnow":
-            return winnow.WinnowConfig(
-                promotion=float(fields.pop("promotion", 1.5)),
-                demotion=float(fields.pop("demotion", 0.5)),
-                threshold=float(fields.pop("threshold", 6.0)),
-                epochs=int(fields.pop("epochs", 2)),
-            )
-        raise ConfigError(f"unknown system kind {self.kind!r}")
+        except ValueError as exc:
+            raise ConfigError(f"system {self.spec_string()!r}: {exc}") from exc
 
     def spec_string(self) -> str:
         if not self.params:
@@ -73,42 +82,34 @@ class SystemSpec:
 
 
 def parse_system(spec: str) -> SystemSpec:
-    """Parse e.g. ``mbsl:c=1`` or ``winnow:alpha=1.5,epochs=2``."""
+    """Parse e.g. ``mbsl:c=1`` or ``winnow:alpha=1.5,epochs=2``.
+
+    A parameter given twice is an error, also when once by its alias
+    (``mbsl:c=1,context_size=3``).
+    """
     kind, _, rest = spec.strip().partition(":")
     kind = kind.strip()
-    if kind not in ("mbsl", "winnow"):
+    if kind not in _KINDS:
         raise ConfigError(f"unknown system kind {kind!r} in {spec!r}")
-    aliases = _MBSL_ALIASES if kind == "mbsl" else _WINNOW_ALIASES
+    aliases = _KINDS[kind][1]
     params = {}
-    label = None
     if rest:
         for item in rest.split(","):
             key, _, value = item.partition("=")
-            key = key.strip()
+            key = aliases.get(key.strip(), key.strip())
             value = value.strip()
             if not value:
                 raise ConfigError(f"malformed system parameter {item!r}")
-            if key == "label":
-                label = value
-                continue
-            params[aliases.get(key, key)] = value
+            if key in params:
+                raise ConfigError(f"duplicate system parameter {key!r} in {spec!r}")
+            params[key] = value
+    label = params.pop("label", None)
     canonical = tuple(sorted(params.items()))
     if label is None:
-        suffix = "".join(
-            f"-{_SHORT.get(k, k)}{v}" for k, v in canonical
-        )
-        label = f"{kind}{suffix}"
+        label = kind + "".join(f"-{_SHORT.get(k, k)}{v}" for k, v in canonical)
     spec_obj = SystemSpec(label, kind, canonical)
     spec_obj.build()  # validate eagerly
     return spec_obj
-
-
-_SHORT = {
-    "context_size": "c",
-    "promotion": "alpha",
-    "demotion": "beta",
-    "threshold": "theta",
-}
 
 
 @dataclass(frozen=True)
@@ -168,20 +169,31 @@ class ExperimentConfig:
         return f"{fnv1a64(self.canonical_text()):016x}"
 
 
-def load_config(path: str | Path, overrides: Sequence[str] = ()) -> ExperimentConfig:
-    """Flat key=value config file plus command-line overrides."""
-    entries: dict[str, str] = {}
-    tests: list[tuple[str, str]] = []
+_CONFIG_KEYS = (
+    "master_seed", "train", "method", "B", "k", "repetitions", "systems",
+    "output_dir", "workers",
+)
 
-    def absorb(key: str, value: str) -> None:
-        if key.startswith("test."):
-            label = key[len("test."):]
-            if not label:
-                raise ConfigError("test corpus label must be non-empty")
-            tests[:] = [(l, p) for l, p in tests if l != label]
-            tests.append((label, value))
-        else:
-            entries[key] = value
+
+def load_config(path: str | Path, overrides: Sequence[str] = ()) -> ExperimentConfig:
+    """Flat key=value config file plus command-line overrides.
+
+    Unknown keys and keys repeated within the file are errors; an override
+    replaces the file's value.
+    """
+    entries: dict[str, str] = {}
+
+    def absorb(key: str, value: str, where: str) -> None:
+        if key not in _CONFIG_KEYS and not key.startswith("test."):
+            known = ", ".join(_CONFIG_KEYS)
+            raise ConfigError(
+                f"{where}: unknown config key {key!r} (known: {known}, test.<label>)"
+            )
+        if key == "test.":
+            raise ConfigError("test corpus label must be non-empty")
+        # an override re-inserts its key, so an overridden test corpus moves last
+        entries.pop(key, None)
+        entries[key] = value
 
     with open(path, encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
@@ -191,12 +203,15 @@ def load_config(path: str | Path, overrides: Sequence[str] = ()) -> ExperimentCo
             if "=" not in line:
                 raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            absorb(key.strip(), value.strip())
+            key = key.strip()
+            if key in entries:
+                raise ConfigError(f"{path}:{line_no}: duplicate config key {key!r}")
+            absorb(key, value.strip(), f"{path}:{line_no}")
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must be key=value, got {item!r}")
         key, _, value = item.partition("=")
-        absorb(key.strip(), value.strip())
+        absorb(key.strip(), value.strip(), f"override {item!r}")
 
     try:
         systems = tuple(
@@ -205,7 +220,10 @@ def load_config(path: str | Path, overrides: Sequence[str] = ()) -> ExperimentCo
         return ExperimentConfig(
             master_seed=int(entries["master_seed"]),
             training_corpus=entries["train"],
-            test_corpora=tuple(tests),
+            test_corpora=tuple(
+                (key[len("test."):], value)
+                for key, value in entries.items() if key.startswith("test.")
+            ),
             method=entries.get("method", "bootstrap"),
             b=int(entries.get("B", 0)),
             k=int(entries.get("k", 0)),
@@ -216,53 +234,6 @@ def load_config(path: str | Path, overrides: Sequence[str] = ()) -> ExperimentCo
         )
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Per-resample execution. Worker state is installed once per process.
-
-_STATE: dict = {}
-
-
-def _pool_init(train: Corpus, tests, systems, master_seed: int) -> None:
-    _STATE["train"] = train
-    _STATE["tests"] = tests
-    _STATE["systems"] = systems
-    _STATE["seed"] = master_seed
-
-
-def _train_one(spec: SystemSpec, view: Corpus, master_seed: int, stream_index: int,
-               purpose_prefix: str):
-    cfg = spec.build()
-    if spec.kind == "mbsl":
-        return mbsl.mbsl_train(view, cfg)
-    rng = derive_stream(master_seed, f"{purpose_prefix}:{spec.label}", stream_index)
-    return winnow.winnow_train(view, cfg, rng)
-
-
-def _predict_one(spec: SystemSpec, model, sentence):
-    if spec.kind == "mbsl":
-        return mbsl.mbsl_predict(model, sentence)
-    return winnow.winnow_predict(model, sentence)
-
-
-def _evaluate_model(spec: SystemSpec, model, tests) -> dict[str, RunMetrics]:
-    out = {}
-    for label, corpus in tests:
-        predictions = [_predict_one(spec, model, s) for s in corpus.sentences]
-        out[label] = evalstats.score_run(corpus, predictions)
-    return out
-
-
-def _run_resample(task):
-    resample_id, plan, held_out = task
-    view = training_view(_STATE["train"], plan, held_out)
-    results = {}
-    for spec in _STATE["systems"]:
-        model = _train_one(spec, view, _STATE["seed"], resample_id, "train")
-        for test_label, metrics in _evaluate_model(spec, model, _STATE["tests"]).items():
-            results[(spec.label, test_label)] = metrics
-    return resample_id, results
 
 
 def build_plans(config: ExperimentConfig, train: Corpus
@@ -303,74 +274,121 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    train = read_corpus(config.training_corpus)
-    tests = tuple(
-        (label, read_corpus(path)) for label, path in config.test_corpora
-    )
-    tasks = build_plans(config, train)
-    plan_digests = tuple(
-        f"{fnv1a64(plan.to_line() + (f'/{held}' if held is not None else '')):016x}"
-        for _, plan, held in tasks
-    )
+class _Experiment:
+    """One config's corpora, resampling tasks and plan digests.
 
-    _pool_init(train, tests, config.systems, config.master_seed)
-    if config.workers == 1 or len(tasks) <= 1:
-        raw = [_run_resample(task) for task in tasks]
-    else:
+    `run` and `replay` each build one; every resample, and the full-corpus
+    training behind e_full, goes through run_resample.
+    """
+
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        self.train = read_corpus(config.training_corpus)
+        self.tests = tuple(
+            (label, read_corpus(path)) for label, path in config.test_corpora
+        )
+        self.tasks = build_plans(config, self.train)
+        self.plan_digests = tuple(
+            f"{fnv1a64(plan.to_line() + (f'/{held}' if held is not None else '')):016x}"
+            for _, plan, held in self.tasks
+        )
+
+    def run_resample(self, task) -> dict[tuple[str, str], RunMetrics]:
+        """Train every system on a task's view; score it on every test corpus.
+
+        A task is (resample_id, plan, held_out_fold). Plan None stands for
+        the full training corpus, whose Winnow shuffles come from the
+        "train-full" streams rather than the "train" ones.
+        """
+        resample_id, plan, held_out = task
+        if plan is None:
+            view, purpose = self.train, "train-full"
+        else:
+            view, purpose = training_view(self.train, plan, held_out), "train"
+        results = {}
+        for spec in self.config.systems:
+            cfg = spec.build()
+            if spec.kind == "mbsl":
+                model = mbsl.mbsl_train(view, cfg)
+                predict = mbsl.mbsl_predict
+            else:
+                rng = derive_stream(
+                    self.config.master_seed, f"{purpose}:{spec.label}", resample_id
+                )
+                model = winnow.winnow_train(view, cfg, rng)
+                predict = winnow.winnow_predict
+            for label, corpus in self.tests:
+                predictions = [predict(model, s) for s in corpus.sentences]
+                results[(spec.label, label)] = evalstats.score_run(corpus, predictions)
+        return results
+
+    def run_all(self) -> list[dict[tuple[str, str], RunMetrics]]:
+        """run_resample for every task, in task order."""
+        if self.config.workers == 1 or len(self.tasks) <= 1:
+            return [self.run_resample(task) for task in self.tasks]
+        # Workers get the experiment once, as an initializer argument, so
+        # the corpora are not shipped again with every task.
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=config.workers,
-            initializer=_pool_init,
-            initargs=(train, tests, config.systems, config.master_seed),
+            max_workers=self.config.workers,
+            initializer=_init_worker,
+            initargs=(self,),
         ) as pool:
-            raw = list(pool.map(_run_resample, tasks, chunksize=1))
-    raw.sort(key=lambda item: item[0])  # deterministic merge order
+            return list(pool.map(_run_in_worker, self.tasks, chunksize=1))
 
+
+# Set only inside pool worker processes, by _init_worker.
+_worker_experiment: _Experiment | None = None
+
+
+def _init_worker(experiment: _Experiment) -> None:
+    global _worker_experiment
+    _worker_experiment = experiment
+
+
+def _run_in_worker(task) -> dict[tuple[str, str], RunMetrics]:
+    return _worker_experiment.run_resample(task)
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    experiment = _Experiment(config)
     run_metrics: dict[tuple[str, str], list[RunMetrics]] = defaultdict(list)
-    for _, results in raw:
+    for results in experiment.run_all():
         for key, metrics in results.items():
             run_metrics[key].append(metrics)
 
+    test_labels = [label for label, _ in config.test_corpora]
     samples: dict[tuple[str, str], RecallSamples] = {}
     summaries = {}
     for spec in config.systems:
-        for test_label, _ in tests:
+        for test_label in test_labels:
             key = (spec.label, test_label)
             values = tuple(m.recall for m in run_metrics[key])
             samples[key] = RecallSamples(f"{spec.label}/{test_label}", values)
-            summaries[key] = evalstats.summarize(samples[key]) if values else None
+            summaries[key] = evalstats.summarize(samples[key])
 
     # full-training point estimate E(.)
-    e_full: dict[tuple[str, str], float] = {}
-    for spec in config.systems:
-        model = _train_one(spec, train, config.master_seed, 0, "train-full")
-        for test_label, metrics in _evaluate_model(spec, model, tests).items():
-            e_full[(spec.label, test_label)] = metrics.recall
+    e_full = {
+        key: metrics.recall
+        for key, metrics in experiment.run_resample((0, None, None)).items()
+    }
 
-    # paired system comparisons per test corpus
+    # paired system comparisons per test corpus, and cross-dataset
+    # correlations per system; both need at least two resamples
     pairs: dict[tuple[str, str, str], PairedComparison] = {}
-    if len(samples[(config.systems[0].label, tests[0][0])].values) >= 2:
-        for i, spec_a in enumerate(config.systems):
-            for spec_b in config.systems[i + 1:]:
-                for test_label, _ in tests:
-                    pairs[(spec_a.label, spec_b.label, test_label)] = (
-                        evalstats.compare_paired(
-                            samples[(spec_a.label, test_label)],
-                            samples[(spec_b.label, test_label)],
-                        )
-                    )
-
-    # cross-dataset correlations per system
     xcorr: dict[tuple[str, str, str], float | None] = {}
-    if len(samples[(config.systems[0].label, tests[0][0])].values) >= 2:
+    if len(experiment.tasks) >= 2:
+        for spec_a, spec_b in itertools.combinations(config.systems, 2):
+            for test_label in test_labels:
+                pairs[(spec_a.label, spec_b.label, test_label)] = evalstats.compare_paired(
+                    samples[(spec_a.label, test_label)],
+                    samples[(spec_b.label, test_label)],
+                )
         for spec in config.systems:
-            for i, (label_a, _) in enumerate(tests):
-                for label_b, _ in tests[i + 1:]:
-                    comparison = evalstats.compare_paired(
-                        samples[(spec.label, label_a)],
-                        samples[(spec.label, label_b)],
-                    )
-                    xcorr[(spec.label, label_a, label_b)] = comparison.rho
+            for label_a, label_b in itertools.combinations(test_labels, 2):
+                xcorr[(spec.label, label_a, label_b)] = evalstats.compare_paired(
+                    samples[(spec.label, label_a)],
+                    samples[(spec.label, label_b)],
+                ).rho
 
     report = ExperimentReport(
         config_hash=config.config_hash(),
@@ -380,9 +398,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         e_full=e_full,
         pairs=pairs,
         xcorr=xcorr,
-        plan_digests=plan_digests,
+        plan_digests=experiment.plan_digests,
     )
-    _write_report(config, report, tasks, run_metrics)
+    _write_report(config, report, experiment.tasks, run_metrics)
     return report
 
 
@@ -470,20 +488,24 @@ def _write_report(config: ExperimentConfig, report: ExperimentReport, tasks,
 def replay_resample(config: ExperimentConfig, resample_id: int) -> list[tuple[str, str, RunMetrics]]:
     """Re-run one resample from its deterministic plan; returns run metrics.
 
-    When the experiment's plans.tsv exists, the recomputed plan digest is
-    checked against the recorded one.
+    When the experiment's plans.tsv exists, its config-hash stamp and the
+    recorded plan digest are checked against this config's.
     """
-    train = read_corpus(config.training_corpus)
-    tests = tuple((label, read_corpus(path)) for label, path in config.test_corpora)
-    tasks = build_plans(config, train)
-    matching = [t for t in tasks if t[0] == resample_id]
-    if not matching:
+    experiment = _Experiment(config)
+    if not 0 <= resample_id < len(experiment.tasks):
         raise ConfigError(f"resample_id {resample_id} outside this experiment")
-    task = matching[0]
-    digest = f"{fnv1a64(task[1].to_line() + (f'/{task[2]}' if task[2] is not None else '')):016x}"
+    digest = experiment.plan_digests[resample_id]
     plans_path = Path(config.output_dir) / "plans.tsv"
     if plans_path.exists():
-        for line in plans_path.read_text(encoding="utf-8").splitlines():
+        lines = plans_path.read_text(encoding="utf-8").splitlines()
+        stamp = f"# config_hash={config.config_hash()}"
+        if lines[:1] != [stamp]:
+            recorded = lines[0] if lines else "no stamp"
+            raise ConfigError(
+                f"config hash mismatch: {plans_path} has {recorded!r}, "
+                f"this config gives {stamp!r}"
+            )
+        for line in lines:
             if line.startswith("#") or line.startswith("resample_id"):
                 continue
             rid, _, recorded, _ = line.split("\t")
@@ -492,8 +514,7 @@ def replay_resample(config: ExperimentConfig, resample_id: int) -> list[tuple[st
                     f"plan digest mismatch for resample {resample_id}: "
                     f"{digest} vs recorded {recorded}"
                 )
-    _pool_init(train, tests, config.systems, config.master_seed)
-    _, results = _run_resample(task)
+    results = experiment.run_resample(experiment.tasks[resample_id])
     return [
         (system, test, metrics)
         for (system, test), metrics in sorted(results.items())

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .corpus import ChunkSpan, Corpus, Sentence
 
@@ -35,13 +35,6 @@ class Tile(NamedTuple):
     seq: tuple[str, ...]
     opens: tuple[int, ...]
     closes: tuple[int, ...]
-
-    def render(self) -> str:
-        parts = []
-        for idx, pos in enumerate(self.seq):
-            mark = "[" if idx in self.opens else ""
-            parts.append(f"{mark}{pos}{']' if idx in self.closes else ''}")
-        return " ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -276,75 +269,3 @@ def mbsl_predict(model: MbslModel, sentence: Sentence) -> list[ChunkSpan]:
         taken.append(ChunkSpan(i, j))
     taken.sort(key=lambda s: s.start)
     return taken
-
-
-# ---------------------------------------------------------------------------
-# Serialization: deterministic text dump, one tile per line.
-
-_FORMAT_HEADER = "mbsl-model\t1"
-
-
-class ModelFormatError(ValueError):
-    pass
-
-
-def mbsl_serialize(model: MbslModel) -> bytes:
-    cfg = model.config
-    lines = [
-        _FORMAT_HEADER,
-        (
-            f"context_size={cfg.context_size}\tmax_tile_len={cfg.max_tile_len}"
-            f"\ttile_threshold={cfg.tile_threshold!r}"
-            f"\tmin_positive_count={cfg.min_positive_count}"
-        ),
-        f"max_np_len={model.max_np_len}",
-        f"tiles={len(model.table)}",
-    ]
-    for tile in sorted(model.table):
-        pos, neg = model.table[tile]
-        lines.append(
-            "\t".join(
-                (
-                    " ".join(tile.seq),
-                    ",".join(map(str, tile.opens)),
-                    ",".join(map(str, tile.closes)),
-                    str(pos),
-                    str(neg),
-                )
-            )
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def mbsl_deserialize(payload: bytes) -> MbslModel:
-    lines = payload.decode("utf-8").splitlines()
-    if not lines or lines[0] != _FORMAT_HEADER:
-        raise ModelFormatError("not an mbsl model dump (bad header)")
-    try:
-        cfg_fields = dict(item.split("=", 1) for item in lines[1].split("\t"))
-        config = MbslConfig(
-            context_size=int(cfg_fields["context_size"]),
-            max_tile_len=int(cfg_fields["max_tile_len"]),
-            tile_threshold=float(cfg_fields["tile_threshold"]),
-            min_positive_count=int(cfg_fields["min_positive_count"]),
-        )
-        max_np_len = int(lines[2].split("=", 1)[1])
-        n_tiles = int(lines[3].split("=", 1)[1])
-    except (IndexError, KeyError, ValueError) as exc:
-        raise ModelFormatError(f"malformed model header: {exc}") from exc
-    body = lines[4:]
-    if len(body) != n_tiles:
-        raise ModelFormatError(f"expected {n_tiles} tile lines, found {len(body)}")
-    table: dict[Tile, tuple[int, int]] = {}
-    for line in body:
-        try:
-            seq_s, opens_s, closes_s, pos_s, neg_s = line.split("\t")
-        except ValueError as exc:
-            raise ModelFormatError(f"malformed tile line: {line!r}") from exc
-        tile = Tile(
-            tuple(seq_s.split(" ")),
-            tuple(int(v) for v in opens_s.split(",") if v),
-            tuple(int(v) for v in closes_s.split(",") if v),
-        )
-        table[tile] = (int(pos_s), int(neg_s))
-    return MbslModel(config, table, max_np_len)

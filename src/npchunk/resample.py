@@ -110,21 +110,6 @@ class CvPlan:
         return f"cv\t{self.k}\t{folds}"
 
 
-def plan_from_line(line: str, corpus: "Corpus | None" = None) -> BootstrapPlan | CvPlan:
-    kind, arg, payload = line.rstrip("\n").split("\t")
-    values = tuple(int(v) for v in payload.split(",")) if payload else ()
-    if kind == "bootstrap":
-        return BootstrapPlan(values, int(arg))
-    if kind == "cv":
-        k = int(arg)
-        counts = [0] * k
-        if corpus is not None:
-            for idx, fold in enumerate(values):
-                counts[fold] += len(corpus.sentences[idx].gold_spans)
-        return CvPlan(k, values, tuple(counts))
-    raise ValueError(f"unknown plan kind {kind!r}")
-
-
 def plan_bootstrap(corpus: "Corpus", n0: int, rng: PrngStream,
                    resample_id: int = 0) -> BootstrapPlan:
     """Sample sentences with replacement until >= n0 instances are covered.
@@ -197,15 +182,3 @@ def training_view(corpus: "Corpus", plan: BootstrapPlan | CvPlan,
         if fold != held_out_fold
     )
     return Corpus(f"{corpus.name}#cv-not{held_out_fold}", sentences)
-
-
-def heldout_view(corpus: "Corpus", plan: CvPlan, fold: int) -> "Corpus":
-    """The evaluation side of a CV split: the held-out fold itself."""
-    from .corpus import Corpus
-
-    if not (0 <= fold < plan.k):
-        raise ValueError(f"fold {fold} out of range [0, {plan.k})")
-    sentences = tuple(
-        s for s, f in zip(corpus.sentences, plan.fold_of_sentence) if f == fold
-    )
-    return Corpus(f"{corpus.name}#cv{fold}", sentences)

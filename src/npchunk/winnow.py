@@ -14,7 +14,7 @@ prediction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Sequence
 
@@ -23,9 +23,6 @@ from .resample import PrngStream
 
 BOS = "<s>"
 EOS = "</s>"
-
-WINDOW_RADIUS = 1  # 3-tag window
-MAX_NGRAM = 4      # nominal cap; the 3-tag window realizes at most 3
 
 Feature = tuple[int, tuple[str, ...]]  # (start offset relative to focus, n-gram)
 
@@ -51,7 +48,7 @@ class WinnowConfig:
 def _window_features(window: tuple[str, str, str]) -> tuple[Feature, ...]:
     feats = []
     for start in range(3):
-        for n in range(1, min(MAX_NGRAM, 3 - start) + 1):
+        for n in range(1, 4 - start):  # n-grams that fit in the window
             feats.append((start - 1, window[start:start + n]))
     return tuple(feats)
 
@@ -177,56 +174,3 @@ def winnow_predict(network: WinnowNetwork, sentence: Sentence) -> list[ChunkSpan
     begins = [network.begin_unit.decide(f) for f in features]
     ends = [network.end_unit.decide(f) for f in features]
     return decode_spans(begins, ends)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: deterministic text dump, one feature weight per line.
-
-_FORMAT_HEADER = "winnow-network\t1"
-
-
-class NetworkFormatError(ValueError):
-    pass
-
-
-def winnow_serialize(network: WinnowNetwork) -> bytes:
-    cfg = network.config
-    lines = [
-        _FORMAT_HEADER,
-        (
-            f"promotion={cfg.promotion!r}\tdemotion={cfg.demotion!r}"
-            f"\tthreshold={cfg.threshold!r}\tepochs={cfg.epochs}"
-        ),
-    ]
-    for unit_name, unit in (("begin", network.begin_unit), ("end", network.end_unit)):
-        for (offset, ngram), weight in sorted(unit.weights.items()):
-            lines.append(f"{offset}\t{' '.join(ngram)}\t{unit_name}\t{weight!r}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def winnow_deserialize(payload: bytes) -> WinnowNetwork:
-    lines = payload.decode("utf-8").splitlines()
-    if not lines or lines[0] != _FORMAT_HEADER:
-        raise NetworkFormatError("not a winnow network dump (bad header)")
-    try:
-        cfg_fields = dict(item.split("=", 1) for item in lines[1].split("\t"))
-        config = WinnowConfig(
-            promotion=float(cfg_fields["promotion"]),
-            demotion=float(cfg_fields["demotion"]),
-            threshold=float(cfg_fields["threshold"]),
-            epochs=int(cfg_fields["epochs"]),
-        )
-    except (IndexError, KeyError, ValueError) as exc:
-        raise NetworkFormatError(f"malformed network header: {exc}") from exc
-    units = {
-        "begin": WinnowUnit(config.threshold, config.promotion, config.demotion),
-        "end": WinnowUnit(config.threshold, config.promotion, config.demotion),
-    }
-    for line in lines[2:]:
-        try:
-            offset_s, ngram_s, unit_name, weight_s = line.split("\t")
-            feature = (int(offset_s), tuple(ngram_s.split(" ")))
-            units[unit_name].weights[feature] = float(weight_s)
-        except (KeyError, ValueError) as exc:
-            raise NetworkFormatError(f"malformed weight line: {line!r}") from exc
-    return WinnowNetwork(units["begin"], units["end"], config)

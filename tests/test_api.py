@@ -1,0 +1,70 @@
+"""The names that documentation and the benchmark import must exist.
+
+A deletion that breaks the README's "Library" example or a benchmark probe
+fails here instead of only when someone runs them.
+"""
+
+import ast
+import importlib
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _npchunk_imports(source: str) -> list[tuple[str, str]]:
+    """(module, name) for every `from npchunk... import name` in source."""
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "npchunk"
+        for alias in node.names
+    ]
+
+
+def _readme_library_block() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def _benchmark_imports() -> list[tuple[str, str]]:
+    return [
+        pair
+        for path in sorted((ROOT / "perfbench").glob("*.py"))
+        for pair in _npchunk_imports(path.read_text(encoding="utf-8"))
+    ]
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    sorted(set(_npchunk_imports(_readme_library_block()) + _benchmark_imports())),
+)
+def test_documented_and_benchmarked_names_exist(module, name):
+    assert hasattr(importlib.import_module(module), name)
+
+
+def test_readme_library_block_runs():
+    exec(compile(_readme_library_block(), "README.md", "exec"), {})
+
+
+def test_benchmark_imports_found():
+    names = {name for _, name in _benchmark_imports()}
+    assert {"build_plans", "load_config", "training_view", "mbsl_train",
+            "winnow_train", "RecallSamples", "mbsl"} <= names
+
+
+# positional call shapes used by perfbench/child.py
+@pytest.mark.parametrize("module, name, n_args", [
+    ("npchunk", "mbsl_train", 2),
+    ("npchunk", "winnow_train", 3),
+    ("npchunk", "training_view", 3),
+    ("npchunk.harness", "build_plans", 2),
+    ("npchunk.harness", "load_config", 1),
+])
+def test_benchmark_call_shapes(module, name, n_args):
+    func = getattr(importlib.import_module(module), name)
+    inspect.signature(func).bind(*[None] * n_args)

@@ -11,7 +11,6 @@ from npchunk.corpus import (
     Token,
     generate_corpus,
     read_corpus,
-    take_prefix_by_instances,
     write_corpus,
 )
 from npchunk.resample import derive_stream
@@ -92,6 +91,14 @@ class TestIob2Io:
         with pytest.raises(CorpusFormatError):
             read_corpus(path)
 
+    def test_crlf_file_reads_like_lf(self, tmp_path):
+        text = "the\tDT\tB-NP\ndog\tNN\tI-NP\nran\tVBD\tO\n\nI\tPRP\tB-NP\n"
+        lf, crlf = tmp_path / "lf.iob2", tmp_path / "crlf.iob2"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        assert read_corpus(crlf, name="c") == read_corpus(lf, name="c")
+        assert len(read_corpus(crlf)) == 2
+
     def test_write_format(self, tmp_path):
         corpus = Corpus("c", (sent([("the", "DT"), ("dog", "NN")], [(0, 2)]),))
         path = tmp_path / "out.iob2"
@@ -162,32 +169,3 @@ class TestGeneration:
                 mean_nps=1.0,
             )
 
-
-class TestPrefixByInstances:
-    def build(self, counts):
-        sentences = []
-        for n in counts:
-            tagged = [("w", "NN")] * max(n, 1)
-            spans = [(i, i + 1) for i in range(n)]
-            sentences.append(sent(tagged, spans))
-        return Corpus("c", tuple(sentences))
-
-    def test_stopping_rule(self):
-        corpus = self.build([2, 3, 1])
-        prefix = take_prefix_by_instances(corpus, 4)
-        assert len(prefix) == 2
-        assert prefix.instance_count() == 5
-
-    def test_exact_total(self):
-        corpus = self.build([2, 3, 1])
-        assert take_prefix_by_instances(corpus, 6) == corpus
-
-    def test_insufficient_instances(self):
-        with pytest.raises(ValueError):
-            take_prefix_by_instances(self.build([1, 1]), 3)
-
-    def test_overshoot_bounded_on_generated_corpus(self):
-        corpus = generate_corpus(WSJ_LIKE, 400, derive_stream(21, "gen", 0))
-        prefix = take_prefix_by_instances(corpus, 613)
-        got = prefix.instance_count()
-        assert 613 <= got < 613 + corpus.max_sentence_instances()

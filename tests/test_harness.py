@@ -1,9 +1,10 @@
+import dataclasses
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from npchunk import harness
 from npchunk.corpus import GenreGrammar, generate_corpus, read_corpus, write_corpus
 from npchunk.harness import (
     ConfigError,
@@ -80,6 +81,27 @@ class TestParseSystem:
         with pytest.raises((ConfigError, ValueError)):
             parse_system("winnow:alpha=0.5")
 
+    def test_values_cast_to_field_types(self):
+        cfg = parse_system("mbsl:max_tile_len=4,tile_threshold=1").build()
+        assert cfg.max_tile_len == 4 and type(cfg.max_tile_len) is int
+        assert cfg.tile_threshold == 1.0 and type(cfg.tile_threshold) is float
+
+    def test_unknown_mbsl_param_rejected(self):
+        with pytest.raises(ConfigError, match=r"'cc'.*known: c, context_size"):
+            parse_system("mbsl:cc=3")
+
+    def test_unknown_winnow_param_rejected(self):
+        with pytest.raises(ConfigError, match=r"'epoch'.*epochs"):
+            parse_system("winnow:epoch=5")
+
+    def test_repeated_param_rejected(self):
+        with pytest.raises(ConfigError, match="duplicate"):
+            parse_system("mbsl:c=1,c=3")
+
+    def test_alias_and_full_name_count_as_repeat(self):
+        with pytest.raises(ConfigError, match="duplicate"):
+            parse_system("mbsl:c=1,context_size=3")
+
 
 class TestConfig:
     def test_bootstrap_needs_b(self, corpora):
@@ -118,6 +140,27 @@ class TestConfig:
         config = load_config(cfg_path, overrides=["B=5", f"test.b={corpora['b']}"])
         assert config.b == 5
         assert dict(config.test_corpora) == {"a": corpora["a"], "b": corpora["b"]}
+
+    @pytest.mark.parametrize("line", ["methdo=cv", "worker=4"])
+    def test_load_config_unknown_key(self, tmp_path, line):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(f"master_seed=1\n{line}\n")
+        key = line.split("=")[0]
+        with pytest.raises(ConfigError, match=f"bad.cfg:2: unknown config key '{key}'.*known:"):
+            load_config(cfg_path)
+
+    def test_load_config_unknown_override_key(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("master_seed=1\n")
+        with pytest.raises(ConfigError, match="unknown config key 'worker'"):
+            load_config(cfg_path, overrides=["worker=4"])
+
+    @pytest.mark.parametrize("key", ["B", "test.a"])
+    def test_load_config_repeated_key(self, tmp_path, key):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(f"master_seed=1\n{key}=3\n{key}=5\n")
+        with pytest.raises(ConfigError, match=f"bad.cfg:3: duplicate config key '{key}'"):
+            load_config(cfg_path)
 
     def test_load_config_malformed_line(self, tmp_path):
         cfg_path = tmp_path / "bad.cfg"
@@ -195,6 +238,12 @@ class TestRunExperiment:
                 tmp_path / "w2" / name
             ).read_bytes()
 
+    def test_parent_keeps_no_worker_state(self, corpora, tmp_path):
+        for workers in (1, 2):
+            run_experiment(make_config(corpora, tmp_path / f"w{workers}", b=2, workers=workers))
+        replay_resample(make_config(corpora, tmp_path / "w1", b=2), 0)
+        assert harness._worker_experiment is None
+
     def test_rerun_is_byte_identical(self, corpora, tmp_path):
         config = make_config(corpora, tmp_path / "out", b=2)
         run_experiment(config)
@@ -233,6 +282,17 @@ class TestReplay:
         plans.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match="digest mismatch"):
             replay_resample(config, 0)
+
+
+    def test_config_stamp_mismatch_detected(self, corpora, tmp_path):
+        config = make_config(corpora, tmp_path / "out", b=2)
+        run_experiment(config)
+        other = dataclasses.replace(config, systems=(parse_system("winnow"),))
+        with pytest.raises(ConfigError, match="config hash mismatch"):
+            replay_resample(other, 0)
+        # neither is part of the hash
+        replay_resample(dataclasses.replace(config, workers=3), 0)
+        replay_resample(dataclasses.replace(config, output_dir=f"{tmp_path / 'out'}/."), 0)
 
 
 class TestGenAndStats:

@@ -6,14 +6,11 @@ from npchunk.resample import PrngStream, derive_stream
 from npchunk.winnow import (
     BOS,
     EOS,
-    NetworkFormatError,
     WinnowConfig,
     WinnowUnit,
     decode_spans,
     extract_features,
-    winnow_deserialize,
     winnow_predict,
-    winnow_serialize,
     winnow_train,
 )
 
@@ -143,7 +140,8 @@ class TestTrainPredict:
         corpus = generate_corpus(grammar, 60, derive_stream(2, "gen", 0))
         a = winnow_train(corpus, WinnowConfig(), derive_stream(2, "train", 0))
         b = winnow_train(corpus, WinnowConfig(), derive_stream(2, "train", 0))
-        assert winnow_serialize(a) == winnow_serialize(b)
+        for unit_a, unit_b in ((a.begin_unit, b.begin_unit), (a.end_unit, b.end_unit)):
+            assert list(unit_a.weights.items()) == list(unit_b.weights.items())
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -185,38 +183,3 @@ class TestDecoder:
                 assert span.start >= prev
                 prev = span.end
 
-
-class TestSerialization:
-    def build_network(self):
-        grammar = GenreGrammar(
-            "g",
-            np_patterns=((("DT", "NN"), 1.0),),
-            glue_patterns=((("VBD",), 1.0),),
-            mean_nps=2.0, min_nps=1, max_nps=3,
-        )
-        corpus = generate_corpus(grammar, 40, derive_stream(3, "gen", 0))
-        return winnow_train(corpus, WinnowConfig(), derive_stream(3, "train", 0))
-
-    def test_round_trip(self):
-        network = self.build_network()
-        again = winnow_deserialize(winnow_serialize(network))
-        assert again.begin_unit.weights == network.begin_unit.weights
-        assert again.end_unit.weights == network.end_unit.weights
-        assert again.config == network.config
-
-    def test_empty_network_round_trip(self):
-        from npchunk.winnow import WinnowNetwork
-
-        cfg = WinnowConfig()
-        network = WinnowNetwork(
-            WinnowUnit(cfg.threshold, cfg.promotion, cfg.demotion),
-            WinnowUnit(cfg.threshold, cfg.promotion, cfg.demotion),
-            cfg,
-        )
-        again = winnow_deserialize(winnow_serialize(network))
-        assert again.begin_unit.weights == {}
-        assert again.end_unit.weights == {}
-
-    def test_bad_header(self):
-        with pytest.raises(NetworkFormatError):
-            winnow_deserialize(b"garbage\n")
