@@ -47,7 +47,6 @@ from .winnow import (
     WinnowConfig,
     WinnowNetwork,
     WinnowUnit,
-    extract_features,
     winnow_predict,
     winnow_train,
 )

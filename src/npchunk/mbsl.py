@@ -7,17 +7,21 @@ outside a border a stored subsequence may include; symbols inside the chunk
 are bounded by c as well, except that the complete chunk (both borders) is
 always storable up to the overall tile length cap.
 
-Prediction scores each candidate span by tiling: a candidate is covered when
-stored tiles whose borders align with the candidate chain from its opening
-border to its closing border, adjacent tiles overlapping in at least one POS
-position and every tile in the chain scoring pos/(pos+neg) >= the tile
-threshold. Covered candidates are then selected greedily by score.
+Prediction covers a candidate span (i, j) with a chain of stored tiles whose
+borders sit at i and j, from the opening border to the closing one, adjacent
+tiles overlapping in at least one POS position, and every tile scoring
+pos/(pos+neg) >= the tile threshold; the best chain's lowest tile score is
+the candidate's score. Every tile carries a border, so each such tile covers
+token i or token j-1, and tiles on one side overlap each other. The best
+chain is thus one tile carrying both borders, or an opening-only tile
+overlapping a closing-only tile: the score is the best of these (the pair
+rule). Covered candidates are then selected greedily by score.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -119,26 +123,13 @@ class MbslModel:
     config: MbslConfig
     table: dict[Tile, tuple[int, int]]  # tile -> (pos_count, neg_count)
     max_np_len: int
-    _seq_index: dict | None = field(default=None, repr=False, compare=False)
-
-    def seq_index(self) -> dict[tuple[str, ...], list[tuple[Tile, float]]]:
-        """POS sequence -> [(tile, score)] for tiles passing the filters."""
-        if self._seq_index is None:
-            index: dict[tuple[str, ...], list[tuple[Tile, float]]] = defaultdict(list)
-            cfg = self.config
-            for tile, (pos, neg) in self.table.items():
-                if pos < cfg.min_positive_count:
-                    continue
-                score = pos / (pos + neg)
-                if score < cfg.tile_threshold:
-                    continue
-                index[tile.seq].append((tile, score))
-            self._seq_index = dict(index)
-        return self._seq_index
+    # POS sequence -> [(score, open, close)] for the tiles that pass the filters;
+    # open/close are border positions from the tile start, None if not carried
+    index: dict[tuple[str, ...], list[tuple[float, int | None, int | None]]]
 
 
-def mbsl_train(corpus: Corpus, config: MbslConfig) -> MbslModel:
-    """Train on a corpus; duplicated sentences contribute multiply."""
+def _count_tiles(corpus: Corpus, config: MbslConfig) -> tuple[dict[Tile, tuple[int, int]], int]:
+    """(tile -> (pos_count, neg_count), longest gold NP length)."""
     groups: Counter = Counter(s.signature() for s in corpus.sentences)
     tile_keys: set[Tile] = set()
     profiles: Counter = Counter()
@@ -169,95 +160,62 @@ def mbsl_train(corpus: Corpus, config: MbslConfig) -> MbslModel:
             if opens.issuperset(tile.opens) and closes.issuperset(tile.closes)
         )
         table[tile] = (pos, totals[tile.seq] - pos)
-    return MbslModel(config, table, max_np_len)
+    return table, max_np_len
 
 
-def _matching_tiles(model: MbslModel, tags: tuple[str, ...], i: int, j: int
-                    ) -> list[tuple[float, int, int, bool, bool]]:
-    """Tiles supporting candidate span (i, j).
-
-    Returns (score, cover_start, cover_end, is_source, is_sink) per placement,
-    where cover_* is the token interval the tile occupies, is_source means the
-    tile carries the candidate's opening border and is_sink its closing one.
-    """
-    index = model.seq_index()
-    cfg = model.config
-    c = cfg.context_size
-    length = len(tags)
-    out = []
-    lo = max(0, i - c)
-    hi = min(length, j + c)
-    for p in range(lo, min(hi, j)):  # any useful tile starts before the close
-        max_l = min(cfg.max_tile_len, hi - p)
-        for l in range(1, max_l + 1):
-            entries = index.get(tags[p:p + l])
-            if not entries:
-                continue
-            for tile, score in entries:
-                has_open = bool(tile.opens)
-                has_close = bool(tile.closes)
-                if has_open and p + tile.opens[0] != i:
-                    continue
-                if has_close and p + tile.closes[0] + 1 != j:
-                    continue
-                if has_open and not has_close and p + l > j:
-                    continue  # interior run would cross the closing border
-                if has_close and not has_open and p < i:
-                    continue  # interior run would cross the opening border
-                out.append((score, p, p + l, has_open, has_close))
-    return out
-
-
-def _bottleneck_cover(tiles: list[tuple[float, int, int, bool, bool]]) -> float | None:
-    """Best min-score of a border-to-border chain, or None if uncovered.
-
-    Tiles are added in descending score order to a union-find structure,
-    linking tiles that overlap in at least one token position; the first
-    moment some component holds both borders, the current score is the
-    bottleneck of the best chain.
-    """
-    if not tiles:
-        return None
-    order = sorted(range(len(tiles)), key=lambda t: -tiles[t][0])
-    parent = list(range(len(tiles)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    added: list[int] = []
-    flags: dict[int, list[bool]] = {}
-    for t in order:
-        score, start, end, is_src, is_snk = tiles[t]
-        flags[t] = [is_src, is_snk]
-        for other in added:
-            _, ostart, oend, _, _ = tiles[other]
-            if start < oend and ostart < end:
-                ra, rb = find(t), find(other)
-                if ra != rb:
-                    merged = [flags[ra][0] or flags[rb][0], flags[ra][1] or flags[rb][1]]
-                    parent[rb] = ra
-                    flags[ra] = merged
-        added.append(t)
-        root = find(t)
-        if flags[root][0] and flags[root][1]:
-            return score
-    return None
+def mbsl_train(corpus: Corpus, config: MbslConfig) -> MbslModel:
+    """Train on a corpus; duplicated sentences contribute multiply."""
+    # counted in a helper so its profiles are freed before the index is built
+    table, max_np_len = _count_tiles(corpus, config)
+    index: dict = defaultdict(list)
+    for tile, (pos, neg) in table.items():
+        if pos < config.min_positive_count:
+            continue
+        score = pos / (pos + neg)
+        if score >= config.tile_threshold:
+            index[tile.seq].append((
+                score,
+                tile.opens[0] if tile.opens else None,
+                tile.closes[0] + 1 if tile.closes else None,
+            ))
+    return MbslModel(config, table, max_np_len, dict(index))
 
 
 def mbsl_predict(model: MbslModel, sentence: Sentence) -> list[ChunkSpan]:
-    """Tile candidate spans and select covered ones greedily by score."""
+    """Score candidate spans by the pair rule; select covered ones greedily.
+
+    Each window is looked up once, and each tile placement filed under the
+    border(s) it carries: both of (i, j), an opening at i or a closing at j.
+    """
     tags = sentence.pos_tags
     length = len(tags)
-    covered: list[tuple[float, int, int]] = []
-    for i in range(length):
-        for j in range(i + 1, min(length, i + model.max_np_len) + 1):
-            tiles = _matching_tiles(model, tags, i, j)
-            score = _bottleneck_cover(tiles)
-            if score is not None:
-                covered.append((score, i, j))
+    index = model.index
+    best: dict[tuple[int, int], float] = {}  # (i, j) -> score
+    opening: dict[int, list[tuple[float, int]]] = defaultdict(list)  # i -> [(score, end)]
+    closing: dict[int, list[tuple[float, int]]] = defaultdict(list)  # j -> [(score, start)]
+    for p in range(length):
+        for end in range(p + 1, min(length, p + model.config.max_tile_len) + 1):
+            for score, open_at, close_at in index.get(tags[p:end], ()):
+                if open_at is None:
+                    closing[p + close_at].append((score, p))
+                elif close_at is None:
+                    opening[p + open_at].append((score, end))
+                elif score > best.get((p + open_at, p + close_at), -1.0):
+                    best[(p + open_at, p + close_at)] = score
+    # an opening tile inside (i, j) overlapping a closing tile inside (i, j)
+    for i, opens in opening.items():
+        for j, closes in closing.items():
+            if not i < j <= i + model.max_np_len:
+                continue
+            for open_score, end in opens:
+                if end > j:
+                    continue
+                for close_score, start in closes:
+                    if i <= start < end:
+                        score = min(open_score, close_score)
+                        if score > best.get((i, j), -1.0):
+                            best[(i, j)] = score
+    covered = [(score, i, j) for (i, j), score in best.items()]
     covered.sort(key=lambda item: (-item[0], -(item[2] - item[1]), item[1]))
     taken: list[ChunkSpan] = []
     occupied = [False] * length

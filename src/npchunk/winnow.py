@@ -45,25 +45,17 @@ class WinnowConfig:
             raise ValueError("epochs must be >= 1")
 
 
-def _window_features(window: tuple[str, str, str]) -> tuple[Feature, ...]:
-    feats = []
-    for start in range(3):
-        for n in range(1, 4 - start):  # n-grams that fit in the window
-            feats.append((start - 1, window[start:start + n]))
-    return tuple(feats)
-
-
-def extract_features(sentence: Sentence, position: int) -> tuple[Feature, ...]:
-    """The 6 n-gram features of the padded 3-tag window around position."""
-    tags = sentence.pos_tags
-    if not (0 <= position < len(tags)):
-        raise ValueError(f"position {position} out of range")
-    window = (
-        tags[position - 1] if position > 0 else BOS,
-        tags[position],
-        tags[position + 1] if position + 1 < len(tags) else EOS,
+def window_features(tags: tuple[str, ...]) -> tuple[tuple[Feature, ...], ...]:
+    """The 6 n-gram features of the padded 3-tag window around each position."""
+    padded = (BOS, *tags, EOS)
+    return tuple(
+        tuple(
+            (start - 1, padded[i + start:i + start + n])
+            for start in range(3)
+            for n in range(1, 4 - start)  # n-grams that fit in the window
+        )
+        for i in range(len(tags))
     )
-    return _window_features(window)
 
 
 class WinnowUnit:
@@ -85,6 +77,7 @@ class WinnowUnit:
         seen, so a feature that never participates in a mistake still counts
         toward the score at prediction time.
         """
+        features = tuple(features)  # iterated twice; a tuple is not copied
         weights = self.weights
         setdefault = weights.setdefault
         score = 0.0
@@ -118,18 +111,12 @@ class WinnowNetwork:
 def _sentence_examples(sig: tuple) -> tuple:
     """Per-position (features, is_begin, is_end) for one sentence layout."""
     tags, spans = sig
-    length = len(tags)
     begins = {s for s, _ in spans}
     ends = {e - 1 for _, e in spans}
-    out = []
-    for i in range(length):
-        window = (
-            tags[i - 1] if i > 0 else BOS,
-            tags[i],
-            tags[i + 1] if i + 1 < length else EOS,
-        )
-        out.append((_window_features(window), i in begins, i in ends))
-    return tuple(out)
+    return tuple(
+        (features, i in begins, i in ends)
+        for i, features in enumerate(window_features(tags))
+    )
 
 
 def winnow_train(corpus: Corpus, config: WinnowConfig, rng: PrngStream) -> WinnowNetwork:
@@ -168,9 +155,7 @@ def decode_spans(begin_decisions: Sequence[bool], end_decisions: Sequence[bool]
 
 
 def winnow_predict(network: WinnowNetwork, sentence: Sentence) -> list[ChunkSpan]:
-    if len(sentence) == 0:
-        return []
-    features = [extract_features(sentence, i) for i in range(len(sentence))]
+    features = window_features(sentence.pos_tags)
     begins = [network.begin_unit.decide(f) for f in features]
     ends = [network.end_unit.decide(f) for f in features]
     return decode_spans(begins, ends)

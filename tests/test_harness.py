@@ -1,6 +1,9 @@
 import dataclasses
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +131,29 @@ class TestConfig:
         c1 = make_config(corpora, "out")
         c2 = make_config(corpora, "out", master_seed=12)
         assert c1.config_hash() != c2.config_hash()
+
+    def test_hash_covers_content_not_path(self, corpora, tmp_path):
+        copies = {}
+        for where in ("one", "two"):
+            (tmp_path / where).mkdir()
+            copies[where] = {}
+            for name, path in corpora.items():
+                copy = tmp_path / where / f"{name}.iob2"
+                shutil.copyfile(path, copy)
+                copies[where][name] = str(copy)
+        assert (make_config(copies["one"], "out").config_hash()
+                == make_config(copies["two"], "out").config_hash()
+                == make_config(corpora, "out").config_hash())
+
+    @pytest.mark.parametrize("key", ["master_seed", "B", "k", "repetitions", "workers"])
+    def test_load_config_integer_value_names_key(self, tmp_path, key):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(
+            "master_seed=1\ntrain=t.iob2\ntest.a=a.iob2\nmethod=cv\nk=2\n"
+            "systems=mbsl:c=1\n"
+        )
+        with pytest.raises(ConfigError, match=f"'{key}'.*'50  # count'"):
+            load_config(cfg_path, overrides=[f"{key}=50  # count"])
 
     def test_load_config_overrides(self, corpora, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
@@ -295,6 +321,20 @@ class TestReplay:
         replay_resample(dataclasses.replace(config, output_dir=f"{tmp_path / 'out'}/."), 0)
 
 
+    def test_corpus_rewritten_in_place_detected(self, corpora, tmp_path):
+        # same path, same sentence count, one POS tag changed throughout
+        paths = {}
+        for name, path in corpora.items():
+            paths[name] = str(tmp_path / f"{name}.iob2")
+            shutil.copyfile(path, paths[name])
+        config = make_config(paths, tmp_path / "out", b=2)
+        run_experiment(config)
+        train = tmp_path / "train.iob2"
+        train.write_text(train.read_text().replace("\tPRP\t", "\tNN\t"))
+        with pytest.raises(ConfigError, match="config hash mismatch"):
+            replay_resample(config, 0)
+
+
 class TestGenAndStats:
     def test_gen_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.iob2", tmp_path / "b.iob2"
@@ -349,9 +389,12 @@ class TestGenAndStats:
 
 class TestCli:
     def run_cli(self, *args):
+        # the child imports the same npchunk as this test, installed or not
+        src = str(Path(harness.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         return subprocess.run(
             [sys.executable, "-m", "npchunk.cli", *args],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
 
     def test_gen_and_run_round_trip(self, tmp_path):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from npchunk.corpus import (
     ChunkSpan,
@@ -140,3 +142,113 @@ class TestPrediction:
         predictions = [mbsl_predict(model, s) for s in train.sentences]
         assert score_run(train, predictions).recall == 1.0
 
+
+# Random small corpora over a two-tag alphabet: a sentence is a run of
+# segments, each either a gold NP or outside material.
+_segments = st.lists(
+    st.tuples(st.booleans(), st.lists(st.sampled_from("AB"), min_size=1, max_size=4)),
+    max_size=5,
+)
+
+
+def _sentence(segments):
+    tags, spans = [], []
+    for is_np, seg in segments:
+        if is_np:
+            spans.append((len(tags), len(tags) + len(seg)))
+        tags.extend(seg)
+    return sent(tags, spans)
+
+
+def _chain_score(model, tiles_by_seq, tags, i, j):
+    """Best lowest tile score over border-to-border chains of overlapping
+    tiles for candidate (i, j), or None: for each threshold, from the
+    highest down, a BFS from the tiles carrying the opening border."""
+    cfg = model.config
+    c = cfg.context_size
+    placed = []  # (score, start, end, carries_open, carries_close)
+    for p in range(max(0, i - c), min(len(tags), j + c)):
+        for end in range(p + 1, min(len(tags), j + c, p + cfg.max_tile_len) + 1):
+            for tile in tiles_by_seq.get(tags[p:end], ()):
+                pos, neg = model.table[tile]
+                if pos < cfg.min_positive_count:
+                    continue
+                score = pos / (pos + neg)
+                if score < cfg.tile_threshold:
+                    continue
+                if tile.opens and p + tile.opens[0] != i:
+                    continue
+                if tile.closes and p + tile.closes[0] + 1 != j:
+                    continue
+                if not tile.closes and end > j or not tile.opens and p < i:
+                    continue  # would run past the candidate's other border
+                placed.append((score, p, end, bool(tile.opens), bool(tile.closes)))
+    for threshold in sorted({t[0] for t in placed}, reverse=True):
+        usable = [t for t in placed if t[0] >= threshold]
+        seen = [t for t in usable if t[3]]
+        queue = list(seen)
+        while queue:
+            _, start, end, _, _ = queue.pop()
+            for other in usable:
+                if other not in seen and other[1] < end and start < other[2]:
+                    seen.append(other)
+                    queue.append(other)
+        if any(t[4] for t in seen):
+            return threshold
+    return None
+
+
+def _oracle_predict(model, sentence):
+    tags = sentence.pos_tags
+    tiles_by_seq = {}
+    for tile in model.table:
+        tiles_by_seq.setdefault(tile.seq, []).append(tile)
+    covered = []
+    for i in range(len(tags)):
+        for j in range(i + 1, min(len(tags), i + model.max_np_len) + 1):
+            score = _chain_score(model, tiles_by_seq, tags, i, j)
+            if score is not None:
+                covered.append((score, i, j))
+    covered.sort(key=lambda item: (-item[0], -(item[2] - item[1]), item[1]))
+    taken, occupied = [], [False] * len(tags)
+    for _, i, j in covered:
+        if not any(occupied[i:j]):
+            occupied[i:j] = [True] * (j - i)
+            taken.append(ChunkSpan(i, j))
+    return sorted(taken, key=lambda s: s.start)
+
+
+class TestPairRule:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    # an opening and a closing tile of "[A A A]" at c=3 overlap across four
+    # tags, one more than the longest gold NP
+    @example(train=[[(False, ["A"]), (True, ["A", "A", "A"])]], probes=[], c=3,
+             max_tile_len=3, tile_threshold=0.0, min_positive_count=1)
+    @given(
+        train=st.lists(_segments, min_size=1, max_size=8),
+        probes=st.lists(st.lists(st.sampled_from("AB"), max_size=10), max_size=4),
+        c=st.integers(0, 3),
+        max_tile_len=st.integers(1, 6),
+        tile_threshold=st.sampled_from([0.0, 0.5, 0.8]),
+        min_positive_count=st.sampled_from([1, 2]),
+    )
+    def test_border_tiles_and_chain_oracle(self, train, probes, c, max_tile_len,
+                                           tile_threshold, min_positive_count):
+        corpus = Corpus("t", tuple(_sentence(segments) for segments in train))
+        model = mbsl_train(corpus, MbslConfig(c, max_tile_len, tile_threshold,
+                                              min_positive_count))
+        for tile in model.table:
+            # every tile carries a border, with at most c tags outside it,
+            # and a single-border tile holds 1..c tags inside
+            assert tile.opens or tile.closes
+            if tile.opens:
+                assert tile.opens[0] <= c
+            if tile.closes:
+                assert len(tile.seq) - 1 - tile.closes[0] <= c
+            if not tile.closes:
+                assert 1 <= len(tile.seq) - tile.opens[0] <= c
+            if not tile.opens:
+                assert 1 <= tile.closes[0] + 1 <= c
+        sentences = list(corpus.sentences) + [sent(tags, []) for tags in probes]
+        for sentence in sentences:
+            assert mbsl_predict(model, sentence) == _oracle_predict(model, sentence)

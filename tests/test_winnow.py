@@ -9,7 +9,7 @@ from npchunk.winnow import (
     WinnowConfig,
     WinnowUnit,
     decode_spans,
-    extract_features,
+    window_features,
     winnow_predict,
     winnow_train,
 )
@@ -22,7 +22,7 @@ def sent(tags, spans=()):
 
 class TestFeatures:
     def test_middle_position(self):
-        feats = extract_features(sent(["DT", "NN", "VBD"]), 1)
+        feats = window_features(("DT", "NN", "VBD"))[1]
         assert set(feats) == {
             (-1, ("DT",)), (0, ("NN",)), (1, ("VBD",)),
             (-1, ("DT", "NN")), (0, ("NN", "VBD")),
@@ -30,13 +30,13 @@ class TestFeatures:
         }
 
     def test_bos_padding(self):
-        feats = extract_features(sent(["DT", "NN", "VBD"]), 0)
+        feats = window_features(("DT", "NN", "VBD"))[0]
         assert (-1, (BOS,)) in feats
         assert (-1, (BOS, "DT", "NN")) in feats
         assert len(feats) == 6
 
     def test_eos_padding(self):
-        feats = extract_features(sent(["DT", "NN", "VBD"]), 2)
+        feats = window_features(("DT", "NN", "VBD"))[2]
         assert (1, (EOS,)) in feats
         assert len(feats) == 6
 
@@ -47,12 +47,9 @@ class TestFeatures:
             derive_stream(0, "gen", 0),
         )
         for sentence in corpus.sentences:
-            for i in range(len(sentence)):
-                assert len(extract_features(sentence, i)) == 6
-
-    def test_position_out_of_range(self):
-        with pytest.raises(ValueError):
-            extract_features(sent(["NN"]), 1)
+            feats = window_features(sentence.pos_tags)
+            assert len(feats) == len(sentence)
+            assert all(len(f) == 6 for f in feats)
 
 
 class TestUnit:
@@ -61,6 +58,12 @@ class TestUnit:
         feats = [("f", i) for i in range(6)]
         # all-ones weights for 6 active features score 6 >= theta -> positive
         assert unit.train_example(feats, False) is True
+        assert all(unit.weights[f] == 0.5 for f in feats)
+
+    def test_generator_features_update_weights(self):
+        unit = WinnowUnit(threshold=6.0, promotion=1.5, demotion=0.5)
+        feats = [("f", i) for i in range(6)]
+        assert unit.train_example((f for f in feats), False) is True
         assert all(unit.weights[f] == 0.5 for f in feats)
 
     def test_promotion_on_false_negative(self):
@@ -142,6 +145,11 @@ class TestTrainPredict:
         b = winnow_train(corpus, WinnowConfig(), derive_stream(2, "train", 0))
         for unit_a, unit_b in ((a.begin_unit, b.begin_unit), (a.end_unit, b.end_unit)):
             assert list(unit_a.weights.items()) == list(unit_b.weights.items())
+
+    def test_empty_sentence_predicts_nothing(self):
+        corpus = Corpus("t", (sent(["DT", "NN"], [(0, 2)]),))
+        network = winnow_train(corpus, WinnowConfig(), PrngStream(0))
+        assert winnow_predict(network, sent([])) == []
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
