@@ -15,7 +15,6 @@ from .corpus import (
     CorpusFormatError,
     GenreGrammar,
     Sentence,
-    Token,
     WSJ_LIKE,
     generate_corpus,
     read_corpus,

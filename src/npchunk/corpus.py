@@ -1,16 +1,21 @@
 """Data model, IOB2 file I/O, and synthetic generation for base-NP corpora.
 
-A corpus is a list of POS-tagged sentences, each annotated with gold base-NP
-spans. Base-NPs are non-recursive, so spans within a sentence are disjoint.
+A corpus holds a tuple of sentences; a sentence is three tuples: its words, one
+POS tag per word, and its gold base-NP spans as ``ChunkSpan(start, end)``
+token ranges, end exclusive. Base-NPs are non-recursive, so spans are sorted
+and disjoint. Words and tags are non-empty and whitespace-free. The learners
+and the scorer read only the tags and the spans.
+
 Files are 3-column IOB2: ``word<TAB>pos<TAB>tag`` with tag in {B-NP, I-NP, O},
-one token per line, blank line between sentences.
+one token per line, blank line between sentences. A malformed line raises
+``CorpusFormatError``, whose message starts with ``<file>:<line>:``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .resample import PrngStream
 
@@ -22,58 +27,41 @@ O_TAG = "O"
 class CorpusFormatError(ValueError):
     """Malformed IOB2 input. Carries the 1-based offending line number."""
 
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, path: str | Path, line_no: int, message: str):
+        super().__init__(f"{path}:{line_no}: {message}")
         self.line_no = line_no
 
 
-def _check_symbol(value: str, what: str) -> None:
-    if not value or any(ch.isspace() for ch in value):
-        raise ValueError(f"{what} must be non-empty and whitespace-free: {value!r}")
-
-
-@dataclass(frozen=True)
-class Token:
-    word: str
-    pos: str
-
-    def __post_init__(self):
-        _check_symbol(self.word, "word")
-        _check_symbol(self.pos, "pos")
-
-
-@dataclass(frozen=True)
-class ChunkSpan:
+class ChunkSpan(NamedTuple):
     start: int  # inclusive token index
     end: int    # exclusive token index
-
-    def __post_init__(self):
-        if not (0 <= self.start < self.end):
-            raise ValueError(f"invalid span ({self.start}, {self.end})")
 
 
 @dataclass(frozen=True)
 class Sentence:
-    tokens: tuple[Token, ...]
+    words: tuple[str, ...]
+    pos_tags: tuple[str, ...]
     gold_spans: tuple[ChunkSpan, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "gold_spans", tuple(self.gold_spans))
+        for field in ("words", "pos_tags", "gold_spans"):
+            object.__setattr__(self, field, tuple(getattr(self, field)))
+        if len(self.words) != len(self.pos_tags):
+            raise ValueError(f"{len(self.words)} words but {len(self.pos_tags)} POS tags")
+        for what, values in (("word", self.words), ("POS tag", self.pos_tags)):
+            # one split over the joined values: equal iff none is empty or has whitespace
+            if " ".join(values).split() != list(values):
+                bad = next(v for v in values if v.split() != [v])
+                raise ValueError(f"{what} must be non-empty and whitespace-free: {bad!r}")
         prev_end = 0
-        for span in self.gold_spans:
-            if span.start < prev_end:
-                raise ValueError("spans must be sorted and disjoint")
-            if span.end > len(self.tokens):
-                raise ValueError("span exceeds sentence length")
-            prev_end = span.end
+        for start, end in self.gold_spans:
+            if not prev_end <= start < end <= len(self.words):
+                raise ValueError(f"spans must be non-empty, sorted, disjoint and inside "
+                                 f"the {len(self.words)} tokens: {self.gold_spans}")
+            prev_end = end
 
     def __len__(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def pos_tags(self) -> tuple[str, ...]:
-        return tuple(t.pos for t in self.tokens)
+        return len(self.words)
 
     def signature(self) -> tuple:
         """Hashable key identifying POS sequence + span layout.
@@ -82,12 +70,11 @@ class Sentence:
         with equal signatures are interchangeable for training; this enables
         caching of per-sentence work.
         """
-        return (self.pos_tags, tuple((s.start, s.end) for s in self.gold_spans))
+        return (self.pos_tags, self.gold_spans)
 
 
 @dataclass(frozen=True)
 class Corpus:
-    name: str
     sentences: tuple[Sentence, ...]
 
     def __post_init__(self):
@@ -99,65 +86,64 @@ class Corpus:
     def instance_count(self) -> int:
         return sum(len(s.gold_spans) for s in self.sentences)
 
-    def max_sentence_instances(self) -> int:
-        return max((len(s.gold_spans) for s in self.sentences), default=0)
-
 
 # ---------------------------------------------------------------------------
 # IOB2 file I/O
 
 
-def _sentence_from_rows(rows: list[tuple[str, str, str]], first_line: int) -> Sentence:
-    tokens = []
+def _sentence_from_rows(rows: list[list[str]], first_line: int,
+                        path: str | Path) -> Sentence:
     spans: list[ChunkSpan] = []
     open_start = -1
-    for offset, (word, pos, tag) in enumerate(rows):
+    for offset, (_, _, tag) in enumerate(rows):
         line_no = first_line + offset
-        tokens.append(Token(word, pos))
         if tag == B_TAG:
             if open_start >= 0:
                 spans.append(ChunkSpan(open_start, offset))
             open_start = offset
         elif tag == I_TAG:
             if open_start < 0:
-                raise CorpusFormatError("I-NP not preceded by B-NP/I-NP", line_no)
+                raise CorpusFormatError(path, line_no, "I-NP not preceded by B-NP/I-NP")
         elif tag == O_TAG:
             if open_start >= 0:
                 spans.append(ChunkSpan(open_start, offset))
                 open_start = -1
         else:
-            raise CorpusFormatError(f"unknown chunk tag {tag!r}", line_no)
+            raise CorpusFormatError(path, line_no, f"unknown chunk tag {tag!r}")
     if open_start >= 0:
         spans.append(ChunkSpan(open_start, len(rows)))
-    return Sentence(tuple(tokens), tuple(spans))
+    words, tags, _ = zip(*rows)
+    return Sentence(words, tags, tuple(spans))
 
 
-def read_corpus(path: str | Path, name: str | None = None) -> Corpus:
-    """Read a strict-IOB2 file. Raises CorpusFormatError with a line number."""
-    path = Path(path)
+def read_corpus(path: str | Path) -> Corpus:
+    """Read a strict-IOB2 file. Raises CorpusFormatError naming file and line."""
     sentences: list[Sentence] = []
-    rows: list[tuple[str, str, str]] = []
+    rows: list[list[str]] = []
     first_line = 1
     with open(path, encoding="utf-8", newline="") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\r\n")
             if not line:
                 if rows:
-                    sentences.append(_sentence_from_rows(rows, first_line))
+                    sentences.append(_sentence_from_rows(rows, first_line, path))
                     rows = []
-                first_line = line_no + 1
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
                 raise CorpusFormatError(
-                    f"expected 3 tab-separated columns, got {len(parts)}", line_no
+                    path, line_no, f"expected 3 tab-separated columns, got {len(parts)}"
+                )
+            if line.split() != parts:
+                raise CorpusFormatError(
+                    path, line_no, f"a field is empty or contains whitespace: {line!r}"
                 )
             if not rows:
                 first_line = line_no
-            rows.append((parts[0], parts[1], parts[2]))
+            rows.append(parts)
     if rows:
-        sentences.append(_sentence_from_rows(rows, first_line))
-    return Corpus(name if name is not None else path.stem, tuple(sentences))
+        sentences.append(_sentence_from_rows(rows, first_line, path))
+    return Corpus(tuple(sentences))
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -166,13 +152,11 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
         for idx, sentence in enumerate(corpus.sentences):
             if idx:
                 handle.write("\n")
-            tags = [O_TAG] * len(sentence)
-            for span in sentence.gold_spans:
-                tags[span.start] = B_TAG
-                for i in range(span.start + 1, span.end):
-                    tags[i] = I_TAG
-            for token, tag in zip(sentence.tokens, tags):
-                handle.write(f"{token.word}\t{token.pos}\t{tag}\n")
+            chunk_tags = [O_TAG] * len(sentence)
+            for start, end in sentence.gold_spans:
+                chunk_tags[start:end] = [B_TAG] + [I_TAG] * (end - start - 1)
+            for row in zip(sentence.words, sentence.pos_tags, chunk_tags):
+                handle.write("\t".join(row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -230,30 +214,30 @@ def _draw_np_count(grammar: GenreGrammar, rng: PrngStream) -> int:
     return lo + sum(1 for _ in range(hi - lo) if rng.next_float() < p)
 
 
-def generate_corpus(grammar: GenreGrammar, n_sentences: int, rng: PrngStream,
-                    name: str | None = None) -> Corpus:
+def generate_corpus(grammar: GenreGrammar, n_sentences: int, rng: PrngStream) -> Corpus:
     """Deterministically generate a corpus from a genre grammar."""
     if n_sentences < 1:
         raise ValueError("n_sentences must be >= 1")
     sentences = []
     for _ in range(n_sentences):
         k = _draw_np_count(grammar, rng)
-        tokens: list[Token] = []
+        words: list[str] = []
+        tags: list[str] = []
         spans: list[ChunkSpan] = []
 
         def emit(pattern: Pattern) -> None:
             for pos in pattern:
-                word = f"{pos.lower()}{rng.next_below(grammar.words_per_pos)}"
-                tokens.append(Token(word, pos))
+                words.append(f"{pos.lower()}{rng.next_below(grammar.words_per_pos)}")
+            tags.extend(pattern)
 
         for _ in range(k):
             emit(_weighted_choice(grammar.glue_patterns, rng))
             np = _weighted_choice(grammar.np_patterns, rng)
-            spans.append(ChunkSpan(len(tokens), len(tokens) + len(np)))
+            spans.append(ChunkSpan(len(tags), len(tags) + len(np)))
             emit(np)
         emit(_weighted_choice(grammar.glue_patterns, rng))
-        sentences.append(Sentence(tuple(tokens), tuple(spans)))
-    return Corpus(name if name is not None else grammar.name, tuple(sentences))
+        sentences.append(Sentence(tuple(words), tuple(tags), tuple(spans)))
+    return Corpus(tuple(sentences))
 
 
 # Two built-in genres mirroring the newswire-vs-dialogue contrast: elaborate

@@ -68,8 +68,8 @@ def score_run(gold: Corpus, predicted: Sequence[Sequence[ChunkSpan]]) -> RunMetr
         )
     n_gold = n_predicted = n_correct = 0
     for sentence, spans in zip(gold.sentences, predicted):
-        gold_set = {(s.start, s.end) for s in sentence.gold_spans}
-        pred_set = {(s.start, s.end) for s in spans}
+        gold_set = set(sentence.gold_spans)
+        pred_set = set(spans)
         n_gold += len(gold_set)
         n_predicted += len(pred_set)
         n_correct += len(gold_set & pred_set)

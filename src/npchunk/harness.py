@@ -186,8 +186,8 @@ _CONFIG_KEYS = (
 def load_config(path: str | Path, overrides: Sequence[str] = ()) -> ExperimentConfig:
     """Flat key=value config file plus command-line overrides.
 
-    Unknown keys and keys repeated within the file are errors; an override
-    replaces the file's value.
+    Unknown keys, keys repeated within the file and values containing `#` are
+    errors; an override replaces the file's value.
     """
     entries: dict[str, str] = {}
 
@@ -199,6 +199,9 @@ def load_config(path: str | Path, overrides: Sequence[str] = ()) -> ExperimentCo
             )
         if key == "test.":
             raise ConfigError("test corpus label must be non-empty")
+        if "#" in value:
+            raise ConfigError(f"{where}: config key {key!r}: '#' in value {value!r} "
+                              "(a comment needs a line of its own)")
         # an override re-inserts its key, so an overridden test corpus moves last
         entries.pop(key, None)
         entries[key] = value

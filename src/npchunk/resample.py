@@ -103,7 +103,6 @@ class CvPlan:
 
     k: int
     fold_of_sentence: tuple[int, ...]
-    fold_instance_counts: tuple[int, ...]
 
     def to_line(self) -> str:
         folds = ",".join(str(f) for f in self.fold_of_sentence)
@@ -152,13 +151,11 @@ def plan_cv(corpus: "Corpus", k: int, rng: PrngStream) -> CvPlan:
 
     heap = [(0, fold) for fold in range(k)]
     fold_of = [0] * n
-    fold_counts = [0] * k
     for idx in order:
         load, fold = heapq.heappop(heap)
         fold_of[idx] = fold
-        fold_counts[fold] = load + counts[idx]
-        heapq.heappush(heap, (fold_counts[fold], fold))
-    return CvPlan(k, tuple(fold_of), tuple(fold_counts))
+        heapq.heappush(heap, (load + counts[idx], fold))
+    return CvPlan(k, tuple(fold_of))
 
 
 def training_view(corpus: "Corpus", plan: BootstrapPlan | CvPlan,
@@ -172,7 +169,7 @@ def training_view(corpus: "Corpus", plan: BootstrapPlan | CvPlan,
 
     if isinstance(plan, BootstrapPlan):
         sentences = tuple(corpus.sentences[i] for i in plan.sentence_indices)
-        return Corpus(f"{corpus.name}#b{plan.resample_id}", sentences)
+        return Corpus(sentences)
     if held_out_fold is None:
         raise ValueError("CV training view requires held_out_fold")
     if not (0 <= held_out_fold < plan.k):
@@ -181,4 +178,4 @@ def training_view(corpus: "Corpus", plan: BootstrapPlan | CvPlan,
         s for s, fold in zip(corpus.sentences, plan.fold_of_sentence)
         if fold != held_out_fold
     )
-    return Corpus(f"{corpus.name}#cv-not{held_out_fold}", sentences)
+    return Corpus(sentences)

@@ -63,9 +63,8 @@ class WinnowUnit:
 
     __slots__ = ("weights", "threshold", "promotion", "demotion")
 
-    def __init__(self, threshold: float, promotion: float, demotion: float,
-                 weights: dict | None = None):
-        self.weights = weights if weights is not None else {}
+    def __init__(self, threshold: float, promotion: float, demotion: float):
+        self.weights: dict = {}
         self.threshold = threshold
         self.promotion = promotion
         self.demotion = demotion

@@ -57,11 +57,14 @@ def test_benchmark_imports_found():
             "winnow_train", "RecallSamples", "mbsl"} <= names
 
 
-# positional call shapes used by perfbench/child.py
+# positional call shapes used by perfbench/child.py and perfbench/workloads.py
 @pytest.mark.parametrize("module, name, n_args", [
     ("npchunk", "mbsl_train", 2),
     ("npchunk", "winnow_train", 3),
     ("npchunk", "training_view", 3),
+    ("npchunk", "read_corpus", 1),
+    ("npchunk", "generate_corpus", 3),
+    ("npchunk", "write_corpus", 2),
     ("npchunk.harness", "build_plans", 2),
     ("npchunk.harness", "load_config", 1),
 ])

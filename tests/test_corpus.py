@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npchunk.corpus import (
     ATIS_LIKE,
@@ -8,7 +12,6 @@ from npchunk.corpus import (
     CorpusFormatError,
     GenreGrammar,
     Sentence,
-    Token,
     generate_corpus,
     read_corpus,
     write_corpus,
@@ -17,16 +20,21 @@ from npchunk.resample import derive_stream
 
 
 def sent(tagged, spans):
-    tokens = tuple(Token(w, p) for w, p in tagged)
-    return Sentence(tokens, tuple(ChunkSpan(a, b) for a, b in spans))
+    words, tags = zip(*tagged) if tagged else ((), ())
+    return Sentence(words, tags, tuple(ChunkSpan(a, b) for a, b in spans))
 
 
 class TestDataModel:
-    def test_token_rejects_whitespace(self):
-        with pytest.raises(ValueError):
-            Token("a b", "NN")
-        with pytest.raises(ValueError):
-            Token("dog", "")
+    def test_sentence_rejects_bad_words_and_tags(self):
+        for words, tags in [(("a b",), ("NN",)), (("dog",), ("",)), (("",), ("NN",)),
+                            (("dog",), ("N\u00a0N",)), (("dog", "ran"), ("NN",))]:
+            with pytest.raises(ValueError):
+                Sentence(words, tags)
+
+    def test_span_is_a_plain_pair(self):
+        s = sent([("a", "DT"), ("b", "NN")], [(0, 2)])
+        assert s.gold_spans == ((0, 2),)
+        assert s.signature() == (("DT", "NN"), ((0, 2),))
 
     def test_span_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -37,8 +45,8 @@ class TestDataModel:
             sent([("a", "DT")], [(0, 2)])
 
     def test_instance_count(self):
-        c = Corpus("c", (sent([("a", "DT"), ("b", "NN")], [(0, 2)]),
-                         sent([("x", "PRP")], [(0, 1)])))
+        c = Corpus((sent([("a", "DT"), ("b", "NN")], [(0, 2)]),
+                    sent([("x", "PRP")], [(0, 1)])))
         assert c.instance_count() == 2
 
 
@@ -91,23 +99,48 @@ class TestIob2Io:
         with pytest.raises(CorpusFormatError):
             read_corpus(path)
 
+    @pytest.mark.parametrize("text", [
+        "a\tDT\tB-NP\na b\tNN\tI-NP\n",
+        "a\tDT\tB-NP\n\tNN\tI-NP\n",
+        "a\tDT\tB-NP\nb\t\tI-NP\n",
+        "a\tDT\tB-NP\nb\tN N\tI-NP\n",
+    ])
+    def test_bad_field_reports_line(self, tmp_path, text):
+        path = tmp_path / "c.iob2"
+        path.write_text(text)
+        with pytest.raises(CorpusFormatError) as err:
+            read_corpus(path)
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("text", [
+        "a\tDT\tO\n\nbroken line\n",
+        "a\tDT\tO\n\nb\tN N\tO\n",
+        "a\tDT\tO\n\nb\tNN\tI-NP\n",
+        "a\tDT\tO\n\nb\tNN\tB-VP\n",
+    ])
+    def test_errors_name_file_and_line(self, tmp_path, text):
+        path = tmp_path / "c.iob2"
+        path.write_text(text)
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:3: "):
+            read_corpus(path)
+
     def test_crlf_file_reads_like_lf(self, tmp_path):
         text = "the\tDT\tB-NP\ndog\tNN\tI-NP\nran\tVBD\tO\n\nI\tPRP\tB-NP\n"
         lf, crlf = tmp_path / "lf.iob2", tmp_path / "crlf.iob2"
         lf.write_bytes(text.encode())
         crlf.write_bytes(text.replace("\n", "\r\n").encode())
-        assert read_corpus(crlf, name="c") == read_corpus(lf, name="c")
+        assert read_corpus(crlf) == read_corpus(lf)
         assert len(read_corpus(crlf)) == 2
 
     def test_write_format(self, tmp_path):
-        corpus = Corpus("c", (sent([("the", "DT"), ("dog", "NN")], [(0, 2)]),))
+        corpus = Corpus((sent([("the", "DT"), ("dog", "NN")], [(0, 2)]),))
         path = tmp_path / "out.iob2"
         write_corpus(corpus, path)
         assert path.read_text() == "the\tDT\tB-NP\ndog\tNN\tI-NP\n"
 
     def test_write_empty_corpus(self, tmp_path):
         path = tmp_path / "out.iob2"
-        write_corpus(Corpus("c", ()), path)
+        write_corpus(Corpus(()), path)
         assert path.read_text() == ""
 
     def test_round_trip_generated_corpora(self, tmp_path):
@@ -115,7 +148,7 @@ class TestIob2Io:
             corpus = generate_corpus(grammar, 60, derive_stream(seed, "rt", 7))
             path = tmp_path / f"{grammar.name}.iob2"
             write_corpus(corpus, path)
-            again = read_corpus(path, name=corpus.name)
+            again = read_corpus(path)
             assert again == corpus
             write_corpus(again, tmp_path / "second.iob2")
             assert (tmp_path / "second.iob2").read_bytes() == path.read_bytes()
@@ -169,3 +202,54 @@ class TestGeneration:
                 mean_nps=1.0,
             )
 
+
+# Any non-whitespace character that UTF-8 can encode: Cc holds tab, newline,
+# carriage return and the other control characters that split lines or count
+# as whitespace.
+_SYMBOL = st.text(
+    st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs")),
+    min_size=1, max_size=4,
+)
+
+
+@st.composite
+def _sentences(draw):
+    segments = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 3)),
+                             min_size=1, max_size=5))
+    spans, length = [], 0
+    for is_np, size in segments:
+        if is_np:
+            spans.append(ChunkSpan(length, length + size))
+        length += size
+    symbols = st.lists(_SYMBOL, min_size=length, max_size=length)
+    return Sentence(tuple(draw(symbols)), tuple(draw(symbols)), tuple(spans))
+
+
+_CORPORA = st.lists(_sentences(), max_size=4).map(lambda s: Corpus(tuple(s)))
+
+
+class TestIob2Property:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(corpus=_CORPORA)
+    def test_write_then_read_round_trips(self, tmp_path_factory, corpus):
+        path = tmp_path_factory.mktemp("rt") / "c.iob2"
+        write_corpus(corpus, path)
+        assert read_corpus(path) == corpus
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(corpus=_CORPORA.filter(len), data=st.data())
+    def test_bad_field_raises_at_its_line(self, tmp_path_factory, corpus, data):
+        path = tmp_path_factory.mktemp("bad") / "c.iob2"
+        write_corpus(corpus, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        line_no = data.draw(st.sampled_from(
+            [n for n, line in enumerate(lines, start=1) if line]))
+        fields = lines[line_no - 1].split("\t")
+        column = data.draw(st.integers(0, 2))
+        fields[column] = data.draw(st.sampled_from(
+            ["", " ", "a b", "a\u00a0b", "\x1f", "\u3000x", "x\t"]))
+        lines[line_no - 1] = "\t".join(fields)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as err:
+            read_corpus(path)
+        assert err.value.line_no == line_no

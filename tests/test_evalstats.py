@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from npchunk.corpus import ChunkSpan, Corpus, Sentence, Token
+from npchunk.corpus import ChunkSpan, Corpus, Sentence
 from npchunk.evalstats import (
     RecallSamples,
     compare_paired,
@@ -14,8 +14,8 @@ from npchunk.resample import PrngStream
 
 
 def sent(n_tokens, spans):
-    tokens = tuple(Token(f"w{i}", "NN") for i in range(n_tokens))
-    return Sentence(tokens, tuple(ChunkSpan(a, b) for a, b in spans))
+    words = tuple(f"w{i}" for i in range(n_tokens))
+    return Sentence(words, ("NN",) * n_tokens, tuple(ChunkSpan(a, b) for a, b in spans))
 
 
 def spans(*pairs):
@@ -42,31 +42,31 @@ def oracle_rho(xs, ys):
 
 class TestScoreRun:
     def test_half_recall_half_precision(self):
-        gold = Corpus("g", (sent(7, [(0, 2), (4, 6)]),))
+        gold = Corpus((sent(7, [(0, 2), (4, 6)]),))
         metrics = score_run(gold, [spans((0, 2), (3, 6))])
         assert metrics.recall == 0.5
         assert metrics.precision == 0.5
 
     def test_perfect_prediction(self):
-        gold = Corpus("g", (sent(4, [(0, 2)]), sent(3, [(1, 3)])))
+        gold = Corpus((sent(4, [(0, 2)]), sent(3, [(1, 3)])))
         predicted = [spans((0, 2)), spans((1, 3))]
         metrics = score_run(gold, predicted)
         assert metrics.recall == 1.0
         assert metrics.precision == 1.0
 
     def test_empty_prediction(self):
-        gold = Corpus("g", (sent(4, [(0, 2)]),))
+        gold = Corpus((sent(4, [(0, 2)]),))
         metrics = score_run(gold, [[]])
         assert metrics.recall == 0.0
         assert metrics.precision is None
 
     def test_length_mismatch(self):
-        gold = Corpus("g", (sent(4, [(0, 2)]),))
+        gold = Corpus((sent(4, [(0, 2)]),))
         with pytest.raises(ValueError):
             score_run(gold, [])
 
     def test_recall_monotone_in_correct_additions(self):
-        gold = Corpus("g", (sent(8, [(0, 2), (3, 5), (6, 8)]),))
+        gold = Corpus((sent(8, [(0, 2), (3, 5), (6, 8)]),))
         partial = score_run(gold, [spans((0, 2))]).recall
         fuller = score_run(gold, [spans((0, 2), (3, 5))]).recall
         assert fuller > partial

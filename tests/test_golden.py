@@ -2,8 +2,9 @@
 
 The digests were recorded from a run of this exact config. A refactor that
 changes any byte of the reports fails here, even when reruns still agree
-with each other. The `# config_hash=` stamp lines are skipped because the
-hash covers the corpus paths, which live under tmp_path.
+with each other. The `# config_hash=` stamp lines are left out of the digests
+and checked on their own against `STAMP`: the hash covers the corpus bytes,
+not their tmp_path locations, so it is fixed too.
 """
 
 import hashlib
@@ -11,6 +12,8 @@ import hashlib
 from npchunk.corpus import ATIS_LIKE, WSJ_LIKE, generate_corpus, write_corpus
 from npchunk.harness import load_config, run_experiment
 from npchunk.resample import derive_stream
+
+STAMP = b"# config_hash=d595f5ae380a98b4\n"
 
 GOLDEN = {
     "pairs.tsv": "e02425a774e414d656a4f95eed99d87bb216d47ad93ad90b9d7a4353272d3c0e",
@@ -63,3 +66,7 @@ def test_fixed_config_outputs_match_recorded_digests(tmp_path):
         for path in sorted(out.rglob("*.tsv"))
     }
     assert got == GOLDEN
+    for path in out.rglob("*.tsv"):
+        stamps = [line for line in path.read_bytes().splitlines(keepends=True)
+                  if line.startswith(b"# config_hash=")]
+        assert stamps == [STAMP], path

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -152,8 +153,25 @@ class TestConfig:
             "master_seed=1\ntrain=t.iob2\ntest.a=a.iob2\nmethod=cv\nk=2\n"
             "systems=mbsl:c=1\n"
         )
-        with pytest.raises(ConfigError, match=f"'{key}'.*'50  # count'"):
-            load_config(cfg_path, overrides=[f"{key}=50  # count"])
+        with pytest.raises(ConfigError, match=f"'{key}'.*'fifty'"):
+            load_config(cfg_path, overrides=[f"{key}=fifty"])
+
+    @pytest.mark.parametrize("key, value", [
+        ("output_dir", "out  # tmp"), ("systems", "mbsl:c=1 # fast"), ("B", "5#"),
+        ("test.a", "a#1.iob2"),
+    ])
+    def test_load_config_hash_in_value_names_key(self, tmp_path, key, value):
+        entries = {"master_seed": "1", "train": "t.iob2", "test.a": "a.iob2",
+                   "method": "bootstrap", "B": "2", "systems": "mbsl:c=1"}
+        cfg_path = tmp_path / "exp.cfg"
+        bad = {**entries, key: value}
+        cfg_path.write_text("".join(f"{k}={v}\n" for k, v in bad.items()))
+        where = re.escape(str(cfg_path))
+        with pytest.raises(ConfigError, match=f"{where}:\\d+: config key '{key}'"):
+            load_config(cfg_path)
+        cfg_path.write_text("".join(f"{k}={v}\n" for k, v in entries.items()))
+        with pytest.raises(ConfigError, match=f"config key '{key}'"):
+            load_config(cfg_path, overrides=[f"{key}={value}"])
 
     def test_load_config_overrides(self, corpora, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

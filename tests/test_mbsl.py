@@ -7,7 +7,6 @@ from npchunk.corpus import (
     Corpus,
     GenreGrammar,
     Sentence,
-    Token,
     generate_corpus,
 )
 from npchunk.mbsl import (
@@ -21,8 +20,8 @@ from npchunk.resample import derive_stream
 
 
 def sent(tags, spans):
-    tokens = tuple(Token(f"w{i}", p) for i, p in enumerate(tags))
-    return Sentence(tokens, tuple(ChunkSpan(a, b) for a, b in spans))
+    words = tuple(f"w{i}" for i in range(len(tags)))
+    return Sentence(words, tuple(tags), tuple(ChunkSpan(a, b) for a, b in spans))
 
 
 TOY_GRAMMAR = GenreGrammar(
@@ -39,7 +38,7 @@ TOY_GRAMMAR = GenreGrammar(
 
 class TestTraining:
     def test_tile_extraction_example(self):
-        corpus = Corpus("t", (sent(["DT", "NN", "VBD"], [(0, 2)]),))
+        corpus = Corpus((sent(["DT", "NN", "VBD"], [(0, 2)]),))
         model = mbsl_train(corpus, MbslConfig(context_size=1, max_tile_len=3))
         expected = {
             Tile(("DT",), (0,), ()),                # [DT
@@ -53,15 +52,15 @@ class TestTraining:
 
     def test_bootstrap_multiplicity_doubles_counts(self):
         s = sent(["DT", "NN", "VBD"], [(0, 2)])
-        single = mbsl_train(Corpus("t", (s,)), MbslConfig(1, 3))
-        double = mbsl_train(Corpus("t", (s, s)), MbslConfig(1, 3))
+        single = mbsl_train(Corpus((s,)), MbslConfig(1, 3))
+        double = mbsl_train(Corpus((s, s)), MbslConfig(1, 3))
         assert set(single.table) == set(double.table)
         for tile, (pos, neg) in single.table.items():
             assert double.table[tile] == (2 * pos, 2 * neg)
 
     def test_negative_counting(self):
         # "DT NN" once inside a span, once fully outside
-        corpus = Corpus("t", (
+        corpus = Corpus((
             sent(["DT", "NN", "VBD"], [(0, 2)]),
             sent(["IN", "DT", "NN"], []),
         ))
@@ -71,7 +70,7 @@ class TestTraining:
 
     def test_partial_border_is_negative(self):
         # "NN" inside a longer span has a close border but no open border
-        corpus = Corpus("t", (
+        corpus = Corpus((
             sent(["NN", "VBD"], [(0, 1)]),
             sent(["DT", "NN", "VBD"], [(0, 2)]),
         ))
@@ -80,13 +79,13 @@ class TestTraining:
         assert (pos, neg) == (1, 1)
 
     def test_empty_gold_spans_empty_model(self):
-        corpus = Corpus("t", (sent(["DT", "NN"], []),))
+        corpus = Corpus((sent(["DT", "NN"], []),))
         model = mbsl_train(corpus, MbslConfig())
         assert model.table == {}
 
     def test_training_permutation_invariant(self):
         corpus = generate_corpus(TOY_GRAMMAR, 40, derive_stream(3, "gen", 0))
-        reversed_corpus = Corpus("r", tuple(reversed(corpus.sentences)))
+        reversed_corpus = Corpus(tuple(reversed(corpus.sentences)))
         a = mbsl_train(corpus, MbslConfig(context_size=2))
         b = mbsl_train(reversed_corpus, MbslConfig(context_size=2))
         assert a.table == b.table
@@ -109,11 +108,11 @@ class TestTraining:
 class TestPrediction:
     def test_recalls_own_training_instance(self):
         s = sent(["DT", "NN", "VBD"], [(0, 2)])
-        model = mbsl_train(Corpus("t", (s,)), MbslConfig(1, 3))
+        model = mbsl_train(Corpus((s,)), MbslConfig(1, 3))
         assert mbsl_predict(model, s) == [ChunkSpan(0, 2)]
 
     def test_empty_model_predicts_nothing(self):
-        model = mbsl_train(Corpus("t", (sent(["DT"], []),)), MbslConfig())
+        model = mbsl_train(Corpus((sent(["DT"], []),)), MbslConfig())
         assert mbsl_predict(model, sent(["DT", "NN", "VBD"], [])) == []
 
     def test_predictions_disjoint(self):
@@ -234,7 +233,7 @@ class TestPairRule:
     )
     def test_border_tiles_and_chain_oracle(self, train, probes, c, max_tile_len,
                                            tile_threshold, min_positive_count):
-        corpus = Corpus("t", tuple(_sentence(segments) for segments in train))
+        corpus = Corpus(tuple(_sentence(segments) for segments in train))
         model = mbsl_train(corpus, MbslConfig(c, max_tile_len, tile_threshold,
                                               min_positive_count))
         for tile in model.table:

@@ -1,6 +1,6 @@
 import pytest
 
-from npchunk.corpus import ChunkSpan, Corpus, Sentence, Token, WSJ_LIKE, generate_corpus
+from npchunk.corpus import ChunkSpan, Corpus, Sentence, WSJ_LIKE, generate_corpus
 from npchunk.resample import (
     BootstrapPlan,
     PlanningError,
@@ -16,10 +16,18 @@ from npchunk.resample import (
 def corpus_with_counts(counts):
     sentences = []
     for n in counts:
-        tokens = tuple(Token("w", "NN") for _ in range(max(n, 1)))
+        length = max(n, 1)
         spans = tuple(ChunkSpan(i, i + 1) for i in range(n))
-        sentences.append(Sentence(tokens, spans))
-    return Corpus("c", tuple(sentences))
+        sentences.append(Sentence(("w",) * length, ("NN",) * length, spans))
+    return Corpus(tuple(sentences))
+
+
+def fold_loads(corpus, plan):
+    """Gold instances per fold, from the plan's fold of each sentence."""
+    loads = [0] * plan.k
+    for sentence, fold in zip(corpus.sentences, plan.fold_of_sentence):
+        loads[fold] += len(sentence.gold_spans)
+    return loads
 
 
 class TestPrng:
@@ -77,7 +85,7 @@ class TestBootstrap:
             total = sum(counts[i] for i in plan.sentence_indices)
             assert total >= n0
             assert total - counts[plan.sentence_indices[-1]] < n0
-            assert total < n0 + corpus.max_sentence_instances()
+            assert total < n0 + max(counts)
 
     def test_sampled_sentence_count_scale(self):
         # sampling whole sentences until the instance budget: the number of
@@ -114,7 +122,7 @@ class TestCv:
     def test_perfect_balance_when_counts_equal(self):
         corpus = corpus_with_counts([1] * 10)
         plan = plan_cv(corpus, 5, derive_stream(0, "cv", 0))
-        assert plan.fold_instance_counts == (2, 2, 2, 2, 2)
+        assert fold_loads(corpus, plan) == [2, 2, 2, 2, 2]
 
     def test_k_equals_sentence_count(self):
         corpus = corpus_with_counts([1] * 6)
@@ -130,11 +138,12 @@ class TestCv:
 
     def test_imbalance_bounded_by_max_sentence(self):
         corpus = generate_corpus(WSJ_LIKE, 800, derive_stream(9, "gen", 0))
-        cap = corpus.max_sentence_instances()
+        cap = max(len(s.gold_spans) for s in corpus.sentences)
         for k in (3, 5, 10, 20):
             plan = plan_cv(corpus, k, derive_stream(9, "cv", k))
-            assert max(plan.fold_instance_counts) - min(plan.fold_instance_counts) <= cap
-            assert sum(plan.fold_instance_counts) == corpus.instance_count()
+            loads = fold_loads(corpus, plan)
+            assert max(loads) - min(loads) <= cap
+            assert sum(loads) == corpus.instance_count()
 
     def test_partition_exact(self):
         corpus = generate_corpus(WSJ_LIKE, 100, derive_stream(10, "gen", 0))

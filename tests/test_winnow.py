@@ -1,6 +1,6 @@
 import pytest
 
-from npchunk.corpus import ChunkSpan, Corpus, GenreGrammar, Sentence, Token, generate_corpus
+from npchunk.corpus import ChunkSpan, Corpus, GenreGrammar, Sentence, generate_corpus
 from npchunk.evalstats import score_run
 from npchunk.resample import PrngStream, derive_stream
 from npchunk.winnow import (
@@ -16,8 +16,8 @@ from npchunk.winnow import (
 
 
 def sent(tags, spans=()):
-    tokens = tuple(Token(f"w{i}", p) for i, p in enumerate(tags))
-    return Sentence(tokens, tuple(ChunkSpan(a, b) for a, b in spans))
+    words = tuple(f"w{i}" for i in range(len(tags)))
+    return Sentence(words, tuple(tags), tuple(ChunkSpan(a, b) for a, b in spans))
 
 
 class TestFeatures:
@@ -93,12 +93,8 @@ class TestUnit:
         for _ in range(200):
             feats = [("f", rng.next_below(8)) for _ in range(3)]
             unit.train_example(feats, rng.next_below(2) == 0)
-        scaled = WinnowUnit(
-            threshold=unit.threshold * 7.0,
-            promotion=1.5,
-            demotion=0.5,
-            weights={f: w * 7.0 for f, w in unit.weights.items()},
-        )
+        scaled = WinnowUnit(threshold=unit.threshold * 7.0, promotion=1.5, demotion=0.5)
+        scaled.weights = {f: w * 7.0 for f, w in unit.weights.items()}
         for probe in range(50):
             feats = [("f", (probe + d) % 8) for d in range(3)]
             assert unit.decide(feats) == scaled.decide(feats)
@@ -147,13 +143,13 @@ class TestTrainPredict:
             assert list(unit_a.weights.items()) == list(unit_b.weights.items())
 
     def test_empty_sentence_predicts_nothing(self):
-        corpus = Corpus("t", (sent(["DT", "NN"], [(0, 2)]),))
+        corpus = Corpus((sent(["DT", "NN"], [(0, 2)]),))
         network = winnow_train(corpus, WinnowConfig(), PrngStream(0))
         assert winnow_predict(network, sent([])) == []
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            winnow_train(Corpus("e", ()), WinnowConfig(), PrngStream(0))
+            winnow_train(Corpus(()), WinnowConfig(), PrngStream(0))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
