@@ -13,6 +13,7 @@ one token per line, blank line between sentences. A malformed line raises
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -121,26 +122,39 @@ def read_corpus(path: str | Path) -> Corpus:
     sentences: list[Sentence] = []
     rows: list[list[str]] = []
     first_line = 1
-    with open(path, encoding="utf-8", newline="") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\r\n")
-            if not line:
-                if rows:
-                    sentences.append(_sentence_from_rows(rows, first_line, path))
-                    rows = []
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise CorpusFormatError(
-                    path, line_no, f"expected 3 tab-separated columns, got {len(parts)}"
-                )
-            if line.split() != parts:
-                raise CorpusFormatError(
-                    path, line_no, f"a field is empty or contains whitespace: {line!r}"
-                )
-            if not rows:
-                first_line = line_no
-            rows.append(parts)
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            for line_no, raw in enumerate(handle, start=1):
+                line = raw.rstrip("\r\n")
+                if not line:
+                    if rows:
+                        sentences.append(_sentence_from_rows(rows, first_line, path))
+                        rows = []
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 3:
+                    raise CorpusFormatError(
+                        path, line_no, f"expected 3 tab-separated columns, got {len(parts)}"
+                    )
+                if line.split() != parts:
+                    raise CorpusFormatError(
+                        path, line_no, f"a field is empty or contains whitespace: {line!r}"
+                    )
+                if not rows:
+                    first_line = line_no
+                rows.append(parts)
+    except UnicodeDecodeError:
+        # the decoder reads ahead in blocks, so find the line in the raw bytes
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the lines read_corpus counts: universal newlines, undecoded
+            line_no = len(re.split(rb"\r\n?|\n", data[:exc.start]))
+            raise CorpusFormatError(
+                path, line_no, f"not UTF-8: {exc.reason} at {data[exc.start:exc.end]!r}"
+            ) from None
+        raise
     if rows:
         sentences.append(_sentence_from_rows(rows, first_line, path))
     return Corpus(tuple(sentences))

@@ -525,11 +525,11 @@ def replay_resample(config: ExperimentConfig, resample_id: int) -> list[tuple[st
                 f"config hash mismatch: {plans_path} has {recorded!r}, "
                 f"this config gives {stamp!r}"
             )
-        for line in lines:
+        for line_no, line in enumerate(lines, start=1):
             if line.startswith("#") or line.startswith("resample_id"):
                 continue
-            rid, _, recorded, _ = line.split("\t")
-            if int(rid) == resample_id and recorded != digest:
+            rid, _, recorded, _ = _row(f"{plans_path}:{line_no}", line, (int, str, str, str))
+            if rid == resample_id and recorded != digest:
                 raise ConfigError(
                     f"plan digest mismatch for resample {resample_id}: "
                     f"{digest} vs recorded {recorded}"
@@ -555,17 +555,36 @@ def gen_corpus_cmd(grammar_name: str, n_sentences: int, seed: int,
     return corpus
 
 
+def _row(where: str, line: str, kinds: tuple) -> list:
+    """The tab-separated fields of a report line, each cast by its kind; a
+    wrong field count or a field that does not cast raises ConfigError."""
+    fields = line.split("\t")
+    if len(fields) == len(kinds):
+        try:
+            return [kind(field) for kind, field in zip(kinds, fields)]
+        except ValueError:
+            pass
+    names = ", ".join(kind.__name__ for kind in kinds)
+    raise ConfigError(f"{where}: expected {len(kinds)} tab-separated fields ({names}), "
+                      f"got {line!r}")
+
+
 def read_sample_file(path: str | Path) -> RecallSamples:
+    """A resample_id<TAB>recall file; ids run 0, 1, ... and recalls lie in
+    [0, 1]. A bad line raises ConfigError naming the file and the line."""
     values = []
-    expected = 0
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for line_no, line in enumerate(lines, start=1):
         if line.startswith("#") or line.startswith("resample_id"):
             continue
-        rid, value = line.split("\t")
-        if int(rid) != expected:
-            raise ConfigError(f"{path}: non-contiguous resample ids")
-        expected += 1
-        values.append(float(value))
+        where = f"{path}:{line_no}"
+        rid, value = _row(where, line, (int, float))
+        if rid != len(values):
+            raise ConfigError(f"{where}: non-contiguous resample ids: "
+                              f"{rid} where {len(values)} was expected")
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{where}: recall {value} outside [0, 1]")
+        values.append(value)
     return RecallSamples(Path(path).stem, tuple(values))
 
 

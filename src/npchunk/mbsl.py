@@ -1,11 +1,17 @@
 """Memory-based base-NP learner.
 
-Training records POS subsequences that contain a chunk border (left, right,
-or both), together with how often the subsequence occurs with the marked
-border(s) versus without them. The context size c bounds how many symbols
-outside a border a stored subsequence may include; symbols inside the chunk
-are bounded by c as well, except that the complete chunk (both borders) is
-always storable up to the overall tile length cap.
+Training counts every window of at most max_tile_len POS tags, keyed by its
+tags and the gold borders inside it (its profile). A tile is such a window
+with the border(s) of one chunk marked; it scores pos/(pos+neg), how often
+its tags occur with those marks versus without them. The context size c
+bounds the tags outside a border, and inside when only one border is
+carried. In a window of l tags, an opening at o belongs to the chunk that
+ends at the first close m >= o, and the window yields the tiles
+  [o..m]  both borders, if o <= c, that m exists and l-1-m <= c;
+  [o..    opening only, if o <= c, l-o <= c and the chunk reaches the
+          window's last tag (m is l-1 or lies past the window);
+  ..m]    closing only, for each close m with m+1 <= c, l-1-m <= c and
+          no opening at 1..m (its chunk opens at or before tag 0).
 
 Prediction covers a candidate span (i, j) with a chain of stored tiles whose
 borders sit at i and j, from the opening border to the closing one, adjacent
@@ -63,46 +69,13 @@ Signature = tuple[tuple[str, ...], tuple[tuple[int, int], ...]]
 
 
 @lru_cache(maxsize=65536)
-def _sentence_tiles(sig: Signature, context_size: int, max_tile_len: int) -> frozenset[Tile]:
-    """All tiles extracted from one sentence layout."""
-    tags, spans = sig
-    length = len(tags)
-    c = context_size
-    tiles: set[Tile] = set()
-    for start, end in spans:
-        span_len = end - start
-        # complete chunk with both borders, plus up to c context on each side
-        for left in range(0, min(c, start) + 1):
-            for right in range(0, min(c, length - end) + 1):
-                if left + span_len + right > max_tile_len:
-                    continue
-                seq = tags[start - left:end + right]
-                tiles.add(Tile(seq, (left,), (left + span_len - 1,)))
-        # left border only: up to c symbols on each side of the border
-        for inside in range(1, min(c, span_len) + 1):
-            for outside in range(0, min(c, start) + 1):
-                if inside + outside > max_tile_len:
-                    continue
-                seq = tags[start - outside:start + inside]
-                tiles.add(Tile(seq, (outside,), ()))
-        # right border only
-        for inside in range(1, min(c, span_len) + 1):
-            for outside in range(0, min(c, length - end) + 1):
-                if inside + outside > max_tile_len:
-                    continue
-                seq = tags[end - inside:end + outside]
-                tiles.add(Tile(seq, (), (inside - 1,)))
-    return frozenset(tiles)
-
-
-@lru_cache(maxsize=65536)
 def _sentence_profiles(sig: Signature, max_tile_len: int) -> dict:
     """Occurrence counts of every window, keyed by (seq, opens, closes).
 
-    opens/closes describe where gold borders fall inside the window. Tile
-    counts are sums over these profiles: occurrences whose border layout
-    includes the tile's marks are positive, all other occurrences of the
-    same POS sequence are negative.
+    opens/closes describe where gold borders fall inside the window. Tiles
+    are read off the keys (_window_tiles), and tile counts are sums over the
+    profiles: occurrences whose border layout includes the tile's marks are
+    positive, all other occurrences of the same POS sequence are negative.
     """
     tags, spans = sig
     length = len(tags)
@@ -128,14 +101,34 @@ class MbslModel:
     index: dict[tuple[str, ...], list[tuple[float, int | None, int | None]]]
 
 
+def _window_tiles(seq: tuple[str, ...], opens: tuple[int, ...],
+                  closes: tuple[int, ...], c: int) -> list[Tile]:
+    """The tiles one window profile yields at context size c (module docstring)."""
+    l = len(seq)
+    tiles = []
+    for o in opens:
+        if o > c:
+            break
+        m = next((m for m in closes if m >= o), None)
+        if m is not None and l - 1 - m <= c:
+            tiles.append(Tile(seq, (o,), (m,)))
+        if l - o <= c and m in (None, l - 1):
+            tiles.append(Tile(seq, (o,), ()))
+    inner_open = next((o for o in opens if o > 0), l)
+    for m in closes:
+        if m + 1 > c or m >= inner_open:
+            break
+        if l - 1 - m <= c:
+            tiles.append(Tile(seq, (), (m,)))
+    return tiles
+
+
 def _count_tiles(corpus: Corpus, config: MbslConfig) -> tuple[dict[Tile, tuple[int, int]], int]:
     """(tile -> (pos_count, neg_count), longest gold NP length)."""
     groups: Counter = Counter(s.signature() for s in corpus.sentences)
-    tile_keys: set[Tile] = set()
     profiles: Counter = Counter()
     max_np_len = 0
     for sig, mult in groups.items():
-        tile_keys.update(_sentence_tiles(sig, config.context_size, config.max_tile_len))
         sig_profiles = _sentence_profiles(sig, config.max_tile_len)
         if mult == 1:
             profiles.update(sig_profiles)
@@ -146,9 +139,11 @@ def _count_tiles(corpus: Corpus, config: MbslConfig) -> tuple[dict[Tile, tuple[i
             if end - start > max_np_len:
                 max_np_len = end - start
 
+    tile_keys: set[Tile] = set()
     by_seq: dict[tuple[str, ...], list[tuple[frozenset, frozenset, int]]] = defaultdict(list)
     totals: Counter = Counter()
     for (seq, opens, closes), count in profiles.items():
+        tile_keys.update(_window_tiles(seq, opens, closes, config.context_size))
         by_seq[seq].append((frozenset(opens), frozenset(closes), count))
         totals[seq] += count
 

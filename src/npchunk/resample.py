@@ -137,7 +137,7 @@ def plan_cv(corpus: "Corpus", k: int, rng: PrngStream) -> CvPlan:
     """Random k-way partition with greedy longest-first instance balancing.
 
     Guarantees max-min fold instance imbalance not exceeding the largest
-    single-sentence instance count.
+    single-sentence instance count, and no empty fold.
     """
     n = len(corpus)
     if not (2 <= k <= n):
@@ -151,10 +151,17 @@ def plan_cv(corpus: "Corpus", k: int, rng: PrngStream) -> CvPlan:
 
     heap = [(0, fold) for fold in range(k)]
     fold_of = [0] * n
+    sizes = [0] * k
     for idx in order:
-        load, fold = heapq.heappop(heap)
+        if counts[idx]:
+            load, fold = heapq.heappop(heap)
+            heapq.heappush(heap, (load + counts[idx], fold))
+        else:
+            # no instances, so no load to balance (these sort last): a fold
+            # with the fewest sentences, which leaves no fold empty
+            fold = min(range(k), key=sizes.__getitem__)
         fold_of[idx] = fold
-        heapq.heappush(heap, (load + counts[idx], fold))
+        sizes[fold] += 1
     return CvPlan(k, tuple(fold_of))
 
 

@@ -124,6 +124,21 @@ class TestIob2Io:
         with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:3: "):
             read_corpus(path)
 
+    @pytest.mark.parametrize("data, line_no", [
+        (b"a\tDT\tB-NP\n\xff\tNN\tO\n", 2),
+        # CRLF and a lone CR each end one line; a cut-off character at the end
+        (b"a\tDT\tB-NP\r\n\r\nb\tNN\tO\rc\tNN\t\xc3", 4),
+        # past the decoder's first read-ahead block
+        (b"a\tDT\tO\n" * 5000 + b"\xe2\x82\tNN\tO\n", 5001),
+    ], ids=["bad-start-byte", "cr-and-crlf", "past-first-block"])
+    def test_non_utf8_bytes_name_file_and_line(self, tmp_path, data, line_no):
+        path = tmp_path / "c.iob2"
+        path.write_bytes(data)
+        with pytest.raises(CorpusFormatError,
+                           match=f"^{re.escape(str(path))}:{line_no}: not UTF-8") as err:
+            read_corpus(path)
+        assert err.value.line_no == line_no
+
     def test_crlf_file_reads_like_lf(self, tmp_path):
         text = "the\tDT\tB-NP\ndog\tNN\tI-NP\nran\tVBD\tO\n\nI\tPRP\tB-NP\n"
         lf, crlf = tmp_path / "lf.iob2", tmp_path / "crlf.iob2"

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from npchunk.corpus import ChunkSpan, Corpus, Sentence
 from npchunk.evalstats import (
@@ -154,6 +156,76 @@ class TestComparePaired:
             comparison = compare_paired(RecallSamples("a", xs), RecallSamples("b", ys))
             assert comparison.rho == pytest.approx(oracle_rho(xs, ys), abs=1e-12)
             assert abs(comparison.rho) <= 1.0 + 1e-12
+
+
+@st.composite
+def _recall_pairs(draw):
+    """Two recall vectors of one length, as score_run makes them (count
+    ratios); either side may be constant."""
+    n = draw(st.integers(2, 12))
+
+    def side():
+        n_gold = draw(st.integers(1, 1000))
+        recall = st.integers(0, n_gold).map(lambda n_correct: n_correct / n_gold)
+        if draw(st.booleans()):
+            return RecallSamples("const", [draw(recall)] * n)
+        return RecallSamples("free", draw(st.lists(recall, min_size=n, max_size=n)))
+
+    return side(), side()
+
+
+# three recalls of 0.1 average 0.10000000000000002, one rounding step off
+_CONSTANT_TENTH = (RecallSamples("a", [0.1, 0.3, 0.2]), RecallSamples("b", [0.1] * 3))
+
+
+class TestComparePairedProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @example(pair=_CONSTANT_TENTH)
+    @given(pair=_recall_pairs())
+    def test_sigma_diff_is_the_variance_identity(self, pair):
+        a, b = pair
+        n = len(a.values)
+        mean_a, mean_b = oracle_mean(a.values), oracle_mean(b.values)
+        var_a = sum((x - mean_a) ** 2 for x in a.values) / (n - 1)
+        var_b = sum((y - mean_b) ** 2 for y in b.values) / (n - 1)
+        cov = sum((x - mean_a) * (y - mean_b) for x, y in zip(a.values, b.values)) / (n - 1)
+        sigma = compare_paired(a, b).sigma_diff
+        assert math.isclose(sigma ** 2, var_a + var_b - 2 * cov, rel_tol=1e-9, abs_tol=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pair=_recall_pairs())
+    def test_rho_present_when_both_sides_vary(self, pair):
+        a, b = pair
+        if len(set(a.values)) > 1 and len(set(b.values)) > 1:
+            assert compare_paired(a, b).rho is not None
+
+    # compare_paired tests the computed variances against zero, so a constant
+    # side whose mean rounds off gets a rho near 0 instead of none. The fix
+    # changes report bytes that the benchmark's recorded digests pin.
+    @pytest.mark.xfail(strict=True, reason="a constant side can get a rounding-residue rho")
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @example(pair=_CONSTANT_TENTH)
+    @given(pair=_recall_pairs())
+    def test_rho_absent_when_a_side_is_constant(self, pair):
+        a, b = pair
+        if len(set(a.values)) == 1 or len(set(b.values)) == 1:
+            assert compare_paired(a, b).rho is None
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pair=_recall_pairs())
+    def test_order_probabilities_sum_to_one(self, pair):
+        a, b = pair
+        ab, ba = compare_paired(a, b), compare_paired(b, a)
+        assert ab.p_tie == ba.p_tie
+        assert ab.p_a_gt_b + ab.p_tie + ba.p_a_gt_b == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pair=_recall_pairs())
+    def test_rho_and_sigma_diff_are_symmetric(self, pair):
+        a, b = pair
+        ab, ba = compare_paired(a, b), compare_paired(b, a)
+        assert ab.rho == ba.rho
+        assert ab.sigma_diff == pytest.approx(ba.sigma_diff, rel=1e-12, abs=1e-15)
 
 
 class TestCorrelationMatrix:

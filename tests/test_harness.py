@@ -328,6 +328,25 @@ class TestReplay:
             replay_resample(config, 0)
 
 
+    @pytest.mark.parametrize("field, value", [(0, "x"), (3, None)],
+                             ids=["non-integer-id", "missing-field"])
+    def test_malformed_plan_line_names_file_and_line(self, corpora, tmp_path,
+                                                     field, value):
+        # a non-integer resample id, or a line missing its plan column
+        config = make_config(corpora, tmp_path / "out", b=2)
+        run_experiment(config)
+        plans = tmp_path / "out" / "plans.tsv"
+        lines = plans.read_text().splitlines()
+        parts = lines[3].split("\t")
+        if value is None:
+            del parts[field]
+        else:
+            parts[field] = value
+        lines[3] = "\t".join(parts)
+        plans.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(plans))}:4: expected 4 "):
+            replay_resample(config, 0)
+
     def test_config_stamp_mismatch_detected(self, corpora, tmp_path):
         config = make_config(corpora, tmp_path / "out", b=2)
         run_experiment(config)
@@ -396,6 +415,25 @@ class TestGenAndStats:
             paths.append(path)
         kinds = [line.split("\t")[0] for line in stats_cmd(paths).splitlines()]
         assert kinds == ["summary"] * 3 + ["pair"] * 3 + ["xcorr"] * 3
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1 0.6", "expected 2 tab-separated fields"),
+        ("1\tabc", "expected 2 tab-separated fields"),
+        ("1\t0.6\t0.7", "expected 2 tab-separated fields"),
+        ("one\t0.6", "expected 2 tab-separated fields"),
+        ("1\t1.5", r"recall 1\.5 outside \[0, 1\]"),
+        ("1\tnan", r"recall nan outside \[0, 1\]"),
+        ("2\t0.6", "non-contiguous resample ids"),
+    ], ids=["space-separated", "non-numeric", "extra-field", "non-integer-id",
+            "above-one", "nan", "gap-in-ids"])
+    def test_stats_bad_line_names_file_and_line(self, tmp_path, bad, message):
+        path = tmp_path / "s.tsv"
+        self._write_sample(path, [0.2, 0.4])
+        lines = path.read_text().splitlines()
+        lines[3] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:4: {message}"):
+            stats_cmd([path])
 
     def test_stats_length_mismatch(self, tmp_path):
         pa, pb = tmp_path / "a.tsv", tmp_path / "b.tsv"

@@ -159,6 +159,44 @@ def _sentence(segments):
     return sent(tags, spans)
 
 
+def _span_tiles(sentence, c, max_tile_len):
+    """Tiles read off the gold spans: each chunk with up to c tags of context
+    on each side, and each border alone with 1..c tags inside and up to c
+    outside; no tile longer than max_tile_len."""
+    tags, length = sentence.pos_tags, len(sentence)
+    tiles = set()
+    for start, end in sentence.gold_spans:
+        for left in range(min(c, start) + 1):
+            for right in range(min(c, length - end) + 1):
+                if left + end - start + right <= max_tile_len:
+                    tiles.add(Tile(tags[start - left:end + right], (left,),
+                                   (left + end - start - 1,)))
+        for inside in range(1, min(c, end - start) + 1):
+            for outside in range(min(c, start) + 1):
+                if inside + outside <= max_tile_len:
+                    tiles.add(Tile(tags[start - outside:start + inside], (outside,), ()))
+            for outside in range(min(c, length - end) + 1):
+                if inside + outside <= max_tile_len:
+                    tiles.add(Tile(tags[end - inside:end + outside], (), (inside - 1,)))
+    return tiles
+
+
+class TestTileRule:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        train=st.lists(_segments, min_size=1, max_size=6),
+        c=st.integers(0, 4),
+        max_tile_len=st.integers(1, 7),
+    )
+    def test_profile_tiles_equal_span_extraction(self, train, c, max_tile_len):
+        # _segments draws adjacent chunks too, so a window can hold a close
+        # directly followed by an opening
+        corpus = Corpus(tuple(_sentence(segments) for segments in train))
+        model = mbsl_train(corpus, MbslConfig(c, max_tile_len))
+        expected = set().union(*(_span_tiles(s, c, max_tile_len) for s in corpus.sentences))
+        assert list(model.table) == sorted(expected)
+
+
 def _chain_score(model, tiles_by_seq, tags, i, j):
     """Best lowest tile score over border-to-border chains of overlapping
     tiles for candidate (i, j), or None: for each threshold, from the

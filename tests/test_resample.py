@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from npchunk.corpus import ChunkSpan, Corpus, Sentence, WSJ_LIKE, generate_corpus
 from npchunk.resample import (
@@ -187,3 +189,30 @@ class TestViews:
         with pytest.raises(ValueError):
             training_view(corpus, plan, held_out_fold=2)
 
+
+# Random corpora as per-sentence instance counts, sentences without any included.
+_COUNTS = st.lists(st.integers(0, 6), min_size=1, max_size=40)
+_STREAMS = st.integers(0, 2**64 - 1).map(PrngStream)
+
+
+class TestPlannerProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(counts=_COUNTS.filter(any), n0=st.integers(1, 200), rng=_STREAMS)
+    def test_bootstrap_stops_at_the_first_draw_reaching_n0(self, counts, n0, rng):
+        plan = plan_bootstrap(corpus_with_counts(counts), n0, rng)
+        total = sum(counts[i] for i in plan.sentence_indices)
+        assert total >= n0
+        assert total - counts[plan.sentence_indices[-1]] < n0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    # one sentence with instances, two without: each fold still gets a sentence
+    @example(counts=[1, 0, 0], k=3, rng=PrngStream(0))
+    @given(counts=_COUNTS.filter(lambda c: len(c) >= 2), k=st.integers(2, 40), rng=_STREAMS)
+    def test_cv_is_a_balanced_partition_into_k_nonempty_folds(self, counts, k, rng):
+        k = min(k, len(counts))
+        corpus = corpus_with_counts(counts)
+        plan = plan_cv(corpus, k, rng)
+        assert plan.k == k and len(plan.fold_of_sentence) == len(counts)
+        assert set(plan.fold_of_sentence) == set(range(k))
+        loads = fold_loads(corpus, plan)
+        assert max(loads) - min(loads) <= max(counts)
