@@ -57,6 +57,25 @@ def test_benchmark_imports_found():
             "winnow_train", "RecallSamples", "mbsl"} <= names
 
 
+def _child_mbsl_caches() -> tuple[str, ...]:
+    """The mbsl attribute names perfbench/child.py reads cache counts from."""
+    tree = ast.parse((ROOT / "perfbench" / "child.py").read_text(encoding="utf-8"))
+    return next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "_MBSL_CACHES"
+    )
+
+
+@pytest.mark.parametrize("name", _child_mbsl_caches())
+def test_benchmark_cache_counts_readable(name):
+    # child.py drops mbsl.cache_hit_ratio, a declared metric, if any name is missing
+    from npchunk import mbsl
+
+    info = getattr(mbsl, name).cache_info()
+    assert isinstance(info.hits, int) and isinstance(info.misses, int)
+
+
 # positional call shapes used by perfbench/child.py and perfbench/workloads.py
 @pytest.mark.parametrize("module, name, n_args", [
     ("npchunk", "mbsl_train", 2),
