@@ -40,6 +40,7 @@ from .resample import (
     fnv1a64,
     plan_bootstrap,
     plan_cv,
+    training_ids,
     training_view,
 )
 from .winnow import (

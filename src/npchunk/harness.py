@@ -27,7 +27,7 @@ from .resample import (
     fnv1a64,
     plan_bootstrap,
     plan_cv,
-    training_view,
+    training_ids,
 )
 
 
@@ -308,6 +308,11 @@ class _Experiment:
             (label, read_corpus(path)) for label, path in config.test_corpora
         )
         self.tasks = build_plans(config, self.train)
+        # interned once, before any worker starts, for every Winnow training
+        self.winnow_index = (
+            winnow.WinnowIndex(self.train)
+            if any(spec.kind == "winnow" for spec in config.systems) else None
+        )
         self.plan_digests = tuple(
             f"{fnv1a64(plan.to_line() + (f'/{held}' if held is not None else '')):016x}"
             for _, plan, held in self.tasks
@@ -322,9 +327,10 @@ class _Experiment:
         """
         resample_id, plan, held_out = task
         if plan is None:
-            view, purpose = self.train, "train-full"
+            ids, purpose = range(len(self.train)), "train-full"
         else:
-            view, purpose = training_view(self.train, plan, held_out), "train"
+            ids, purpose = training_ids(plan, held_out), "train"
+        view = Corpus(tuple(self.train.sentences[i] for i in ids))
         results = {}
         for spec in self.config.systems:
             cfg = spec.build()
@@ -335,7 +341,7 @@ class _Experiment:
                 rng = derive_stream(
                     self.config.master_seed, f"{purpose}:{spec.label}", resample_id
                 )
-                model = winnow.winnow_train(view, cfg, rng)
+                model = winnow.winnow_train_ids(self.winnow_index, ids, cfg, rng)
                 predict = winnow.winnow_predict
             for label, corpus in self.tests:
                 predictions = [predict(model, s) for s in corpus.sentences]
@@ -571,7 +577,8 @@ def _row(where: str, line: str, kinds: tuple) -> list:
 
 def read_sample_file(path: str | Path) -> RecallSamples:
     """A resample_id<TAB>recall file; ids run 0, 1, ... and recalls lie in
-    [0, 1]. A bad line raises ConfigError naming the file and the line."""
+    [0, 1]. A bad line raises ConfigError naming the file and the line, and
+    a file without samples one naming the file."""
     values = []
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     for line_no, line in enumerate(lines, start=1):
@@ -585,11 +592,16 @@ def read_sample_file(path: str | Path) -> RecallSamples:
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{where}: recall {value} outside [0, 1]")
         values.append(value)
+    if not values:
+        raise ConfigError(f"{path}: no samples")
     return RecallSamples(Path(path).stem, tuple(values))
 
 
 def stats_cmd(paths: Sequence[str | Path]) -> str:
-    """Summary/comparison/correlation TSV for previously saved sample files."""
+    """Summary/comparison/correlation TSV for previously saved sample files.
+
+    Comparisons and correlations need at least two resamples, as in `run`;
+    with one, only the summaries are printed."""
     samples = [read_sample_file(p) for p in paths]
     lengths = {len(s.values) for s in samples}
     if len(samples) > 1 and len(lengths) != 1:
@@ -602,8 +614,9 @@ def stats_cmd(paths: Sequence[str | Path]) -> str:
                 ("summary", sample.label, str(summary.n), _fmt(summary.mean), _fmt(summary.std))
             )
         )
-    for i, sample_a in enumerate(samples):
-        for sample_b in samples[i + 1:]:
+    compared = [s for s in samples if len(s.values) >= 2]  # all or none
+    for i, sample_a in enumerate(compared):
+        for sample_b in compared[i + 1:]:
             c = evalstats.compare_paired(sample_a, sample_b)
             lines.append(
                 "\t".join(
@@ -618,9 +631,9 @@ def stats_cmd(paths: Sequence[str | Path]) -> str:
                     )
                 )
             )
-    if len(samples) >= 3:
-        matrix = evalstats.correlation_matrix(samples)
-        for sample, row in zip(samples, matrix):
+    if len(compared) >= 3:
+        matrix = evalstats.correlation_matrix(compared)
+        for sample, row in zip(compared, matrix):
             lines.append(
                 "\t".join(["xcorr", sample.label] + [_fmt(v) for v in row])
             )

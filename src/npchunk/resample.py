@@ -165,24 +165,25 @@ def plan_cv(corpus: "Corpus", k: int, rng: PrngStream) -> CvPlan:
     return CvPlan(k, tuple(fold_of))
 
 
-def training_view(corpus: "Corpus", plan: BootstrapPlan | CvPlan,
-                  held_out_fold: int | None = None) -> "Corpus":
-    """Materialize the training corpus a plan describes.
+def training_ids(plan: BootstrapPlan | CvPlan,
+                 held_out_fold: int | None = None) -> tuple[int, ...]:
+    """The training sentence ids a plan describes, in view order.
 
-    Bootstrap plans yield the sampled multiset (repetitions preserved).
-    CV plans need held_out_fold and yield all sentences outside that fold.
+    Bootstrap plans yield the sampled ids (repetitions preserved). CV plans
+    need held_out_fold and yield the ids outside that fold, ascending.
     """
-    from .corpus import Corpus
-
     if isinstance(plan, BootstrapPlan):
-        sentences = tuple(corpus.sentences[i] for i in plan.sentence_indices)
-        return Corpus(sentences)
+        return plan.sentence_indices
     if held_out_fold is None:
         raise ValueError("CV training view requires held_out_fold")
     if not (0 <= held_out_fold < plan.k):
         raise ValueError(f"held_out_fold {held_out_fold} out of range [0, {plan.k})")
-    sentences = tuple(
-        s for s, fold in zip(corpus.sentences, plan.fold_of_sentence)
-        if fold != held_out_fold
-    )
-    return Corpus(sentences)
+    return tuple(i for i, fold in enumerate(plan.fold_of_sentence) if fold != held_out_fold)
+
+
+def training_view(corpus: "Corpus", plan: BootstrapPlan | CvPlan,
+                  held_out_fold: int | None = None) -> "Corpus":
+    """The training corpus a plan describes: its training_ids' sentences."""
+    from .corpus import Corpus
+
+    return Corpus(tuple(corpus.sentences[i] for i in training_ids(plan, held_out_fold)))

@@ -10,12 +10,21 @@ promotion factor on a false negative and by the demotion factor on a false
 positive. An active feature is allocated at weight 1 the first time it
 appears in training; features never seen in training contribute nothing at
 prediction time.
+
+Training runs over a WinnowIndex, built once per training corpus: each
+distinct window is interned as a tuple of feature ids, and each sentence
+becomes (window id, is_begin, is_end) rows. A resample is a list of
+sentence ids. Every epoch's order is drawn first, then each unit makes one
+pass over the rows with list weights, keeping each window's score until a
+mistake updates one of its features. The score is then summed again in the
+same feature order, so the weights are the ones a per-example
+dict-and-setdefault rule gives, to the bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import chain
 from typing import Hashable, Iterable, Sequence
 
 from .corpus import ChunkSpan, Corpus, Sentence
@@ -45,17 +54,72 @@ class WinnowConfig:
             raise ValueError("epochs must be >= 1")
 
 
+def _features(window: tuple[str, str, str]) -> tuple[Feature, ...]:
+    """The 6 n-gram features of one padded 3-tag window."""
+    return tuple(
+        (start - 1, window[start:start + n])
+        for start in range(3)
+        for n in range(1, 4 - start)  # n-grams that fit in the window
+    )
+
+
 def window_features(tags: tuple[str, ...]) -> tuple[tuple[Feature, ...], ...]:
     """The 6 n-gram features of the padded 3-tag window around each position."""
     padded = (BOS, *tags, EOS)
-    return tuple(
-        tuple(
-            (start - 1, padded[i + start:i + start + n])
-            for start in range(3)
-            for n in range(1, 4 - start)  # n-grams that fit in the window
-        )
-        for i in range(len(tags))
-    )
+    return tuple(_features(padded[i:i + 3]) for i in range(len(tags)))
+
+
+class WinnowIndex:
+    """Feature windows interned once, so training runs over integer ids.
+
+    features[f] is the feature with id f; windows[w] holds the feature ids
+    of window w, in window_features order; containing[f] holds the
+    ids of the windows that contain feature f. Built from a corpus, rows[s]
+    holds one (window id, is_begin, is_end) row per token of sentence s.
+    """
+
+    def __init__(self, corpus: Corpus | None = None):
+        self.features: list[Hashable] = []
+        self.windows: list[tuple[int, ...]] = []
+        self.containing: list[list[int]] = []
+        self.rows: list[tuple[tuple[int, bool, bool], ...]] = []
+        self._feature_ids: dict = {}
+        self._window_ids: dict = {}
+        if corpus is None:
+            return
+        by_tags: dict = {}  # padded 3-tag window -> window id
+        interned: dict = {}  # equal rows share one tuple
+        for sentence in corpus.sentences:
+            padded = (BOS, *sentence.pos_tags, EOS)
+            begins = {s for s, _ in sentence.gold_spans}
+            ends = {e - 1 for _, e in sentence.gold_spans}
+            rows = []
+            for i in range(len(padded) - 2):
+                tags = padded[i:i + 3]
+                w = by_tags.get(tags)
+                if w is None:
+                    w = by_tags[tags] = self.window_id(_features(tags))
+                row = (w, i in begins, i in ends)
+                rows.append(interned.setdefault(row, row))
+            self.rows.append(tuple(rows))
+
+    def window_id(self, window: Iterable[Hashable]) -> int:
+        """The id of a window of features, interning it when new."""
+        window = tuple(window)
+        w = self._window_ids.get(window)
+        if w is None:
+            w = self._window_ids[window] = len(self.windows)
+            ids = []
+            for feature in window:
+                f = self._feature_ids.get(feature)
+                if f is None:
+                    f = self._feature_ids[feature] = len(self.features)
+                    self.features.append(feature)
+                    self.containing.append([])
+                self.containing[f].append(w)
+                ids.append(f)
+            self.windows.append(tuple(ids))
+        return w
 
 
 class WinnowUnit:
@@ -69,26 +133,47 @@ class WinnowUnit:
         self.promotion = promotion
         self.demotion = demotion
 
-    def train_example(self, features: Iterable[Hashable], label: bool) -> bool:
-        """One mistake-driven update; returns True when a mistake was made.
+    def train_rows(self, index: WinnowIndex, rows: Iterable[tuple], label_at: int = 1) -> int:
+        """Mistake-driven updates over rows, in order; returns the mistakes.
 
-        Every active feature is allocated at weight 1 the first time it is
-        seen, so a feature that never participates in a mistake still counts
-        toward the score at prediction time.
+        A row is a tuple whose item 0 is a window id of index and whose item
+        label_at is the label. A feature is allocated at weight 1 the first
+        time a window holding it is scored. A window's score is kept until a
+        mistake updates one of its features; it is then summed again in the
+        same feature order, so it equals the score summed afresh. Training
+        continues from the unit's weights, and leaves in them every feature
+        allocated so far.
         """
-        features = tuple(features)  # iterated twice; a tuple is not copied
-        weights = self.weights
-        setdefault = weights.setdefault
-        score = 0.0
-        for f in features:
-            score += setdefault(f, 1.0)
-        predicted = score >= self.threshold
-        if predicted == label:
-            return False
-        factor = self.promotion if label else self.demotion
-        for f in features:
-            weights[f] *= factor
-        return True
+        features, windows, containing = index.features, index.windows, index.containing
+        get = self.weights.get
+        weights = [get(feature) for feature in features]  # None: not seen yet
+        scores: list[float | None] = [None] * len(windows)
+        threshold, promotion, demotion = self.threshold, self.promotion, self.demotion
+        mistakes = 0
+        for row in rows:
+            w = row[0]
+            score = scores[w]
+            if score is None:
+                score = 0.0
+                for f in windows[w]:
+                    x = weights[f]
+                    if x is None:
+                        weights[f] = x = 1.0
+                    score += x
+                scores[w] = score
+            label = row[label_at]
+            if (score >= threshold) == label:
+                continue
+            mistakes += 1
+            factor = promotion if label else demotion
+            for f in windows[w]:
+                weights[f] *= factor
+                for v in containing[f]:
+                    scores[v] = None
+        self.weights.update(
+            (feature, x) for feature, x in zip(features, weights) if x is not None
+        )
+        return mistakes
 
     def decide(self, features: Iterable[Hashable]) -> bool:
         """Prediction-time decision; unseen features contribute 0."""
@@ -106,33 +191,36 @@ class WinnowNetwork:
     config: WinnowConfig
 
 
-@lru_cache(maxsize=65536)
-def _sentence_examples(sig: tuple) -> tuple:
-    """Per-position (features, is_begin, is_end) for one sentence layout."""
-    tags, spans = sig
-    begins = {s for s, _ in spans}
-    ends = {e - 1 for _, e in spans}
-    return tuple(
-        (features, i in begins, i in ends)
-        for i, features in enumerate(window_features(tags))
+def winnow_train_ids(index: WinnowIndex, ids: Sequence[int], config: WinnowConfig,
+                     rng: PrngStream) -> WinnowNetwork:
+    """Online training over the indexed sentences `ids` (repeats allowed),
+    in rng-shuffled order.
+
+    Each epoch shuffles the previous epoch's order in place; both units
+    train over the same orders, each in one pass over the rows.
+    """
+    if not ids:
+        raise ValueError("cannot train on an empty corpus")
+    order = list(ids)
+    orders = []
+    for _ in range(config.epochs):
+        rng.shuffle(order)
+        orders.append(tuple(order))
+    network = WinnowNetwork(
+        WinnowUnit(config.threshold, config.promotion, config.demotion),
+        WinnowUnit(config.threshold, config.promotion, config.demotion),
+        config,
     )
+    rows = index.rows
+    for unit, label_at in ((network.begin_unit, 1), (network.end_unit, 2)):
+        unit.train_rows(index, chain.from_iterable(rows[s] for o in orders for s in o),
+                        label_at)
+    return network
 
 
 def winnow_train(corpus: Corpus, config: WinnowConfig, rng: PrngStream) -> WinnowNetwork:
-    """Online training over rng-shuffled sentence order, one pass per epoch."""
-    if len(corpus) == 0:
-        raise ValueError("cannot train on an empty corpus")
-    begin = WinnowUnit(config.threshold, config.promotion, config.demotion)
-    end = WinnowUnit(config.threshold, config.promotion, config.demotion)
-    examples = [_sentence_examples(s.signature()) for s in corpus.sentences]
-    order = list(range(len(examples)))
-    for _ in range(config.epochs):
-        rng.shuffle(order)
-        for idx in order:
-            for features, is_begin, is_end in examples[idx]:
-                begin.train_example(features, is_begin)
-                end.train_example(features, is_end)
-    return WinnowNetwork(begin, end, config)
+    """winnow_train_ids over a fresh index of corpus, every sentence once."""
+    return winnow_train_ids(WinnowIndex(corpus), range(len(corpus)), config, rng)
 
 
 def decode_spans(begin_decisions: Sequence[bool], end_decisions: Sequence[bool]

@@ -21,7 +21,7 @@ from npchunk.evalstats import RecallSamples, compare_paired, summarize
 from npchunk.harness import ExperimentConfig, parse_system, run_experiment
 from npchunk.mbsl import MbslConfig, mbsl_predict, mbsl_train
 from npchunk.resample import PrngStream, derive_stream, plan_bootstrap, plan_cv
-from npchunk.winnow import WinnowUnit
+from npchunk.winnow import WinnowIndex, WinnowUnit
 
 MASTER_SEED = 27
 
@@ -170,12 +170,13 @@ def test_07_winnow_mistake_bound_on_3_of_1000_disjunction():
         return features, any(r in features for r in relevant)
 
     examples = [draw() for _ in range(3000)]
+    # each example is its own window
+    index = WinnowIndex()
+    rows = [(index.window_id(features), label) for features, label in examples]
     unit = WinnowUnit(threshold=1000.0, promotion=1.5, demotion=0.5)
     mistakes = 0
     for _ in range(10):
-        pass_mistakes = sum(
-            unit.train_example(features, label) for features, label in examples
-        )
+        pass_mistakes = unit.train_rows(index, rows)
         mistakes += pass_mistakes
         if pass_mistakes == 0:
             break

@@ -435,6 +435,26 @@ class TestGenAndStats:
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:4: {message}"):
             stats_cmd([path])
 
+    def test_stats_empty_sample_file_names_file(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        self._write_sample(path, [])
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: no samples$"):
+            stats_cmd([path])
+
+    def test_stats_one_value_files_print_summaries_only(self, tmp_path):
+        # a B=1 run writes such files; pairs and correlations need 2 values
+        paths = []
+        for i, value in enumerate((0.2, 0.4, 0.6)):
+            path = tmp_path / f"s{i}.tsv"
+            self._write_sample(path, [value])
+            paths.append(path)
+        for n_files in (2, 3):
+            lines = stats_cmd(paths[:n_files]).splitlines()
+            assert len(lines) == n_files
+            for line in lines:
+                kind, _, n, _, std = line.split("\t")
+                assert (kind, n, std) == ("summary", "1", "NA")
+
     def test_stats_length_mismatch(self, tmp_path):
         pa, pb = tmp_path / "a.tsv", tmp_path / "b.tsv"
         self._write_sample(pa, [0.1, 0.2])

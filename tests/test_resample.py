@@ -11,6 +11,7 @@ from npchunk.resample import (
     fnv1a64,
     plan_bootstrap,
     plan_cv,
+    training_ids,
     training_view,
 )
 
@@ -161,6 +162,7 @@ class TestViews:
         view = training_view(corpus, plan)
         assert len(view) == 3
         assert view.sentences[0] == view.sentences[1] == corpus.sentences[0]
+        assert training_ids(plan) == (0, 0, 1)
 
     def test_cv_two_folds_complementary(self):
         corpus = corpus_with_counts([1, 1, 1, 1])
@@ -168,6 +170,9 @@ class TestViews:
         train = training_view(corpus, plan, held_out_fold=1)
         held = [s for s, fold in zip(corpus.sentences, plan.fold_of_sentence) if fold == 1]
         assert len(train) + len(held) == len(corpus)
+        ids = training_ids(plan, held_out_fold=1)
+        assert [corpus.sentences[i] for i in ids] == list(train.sentences)
+        assert sorted(ids + training_ids(plan, held_out_fold=0)) == [0, 1, 2, 3]
         assert {id(s) for s in train.sentences} | {id(s) for s in held} == {
             id(s) for s in corpus.sentences
         }
@@ -182,12 +187,19 @@ class TestViews:
                 id(s) for s, f in zip(corpus.sentences, plan.fold_of_sentence) if f != fold
             ]
             assert len(train) + plan.fold_of_sentence.count(fold) == len(corpus)
+            assert training_ids(plan, fold) == tuple(
+                i for i, f in enumerate(plan.fold_of_sentence) if f != fold
+            )
 
     def test_fold_id_out_of_range(self):
         corpus = corpus_with_counts([1, 1])
         plan = plan_cv(corpus, 2, derive_stream(0, "cv", 0))
         with pytest.raises(ValueError):
             training_view(corpus, plan, held_out_fold=2)
+        with pytest.raises(ValueError):
+            training_ids(plan, held_out_fold=2)
+        with pytest.raises(ValueError):
+            training_ids(plan)
 
 
 # Random corpora as per-sentence instance counts, sentences without any included.

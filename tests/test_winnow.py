@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npchunk.corpus import ChunkSpan, Corpus, GenreGrammar, Sentence, generate_corpus
 from npchunk.evalstats import score_run
@@ -7,17 +9,27 @@ from npchunk.winnow import (
     BOS,
     EOS,
     WinnowConfig,
+    WinnowIndex,
     WinnowUnit,
     decode_spans,
     window_features,
     winnow_predict,
     winnow_train,
+    winnow_train_ids,
 )
 
 
 def sent(tags, spans=()):
     words = tuple(f"w{i}" for i in range(len(tags)))
     return Sentence(words, tuple(tags), tuple(ChunkSpan(a, b) for a, b in spans))
+
+
+def train(unit, examples):
+    """One pass over (features, label) examples, each example its own window;
+    returns the number of mistakes."""
+    index = WinnowIndex()
+    rows = [(index.window_id(features), label) for features, label in examples]
+    return unit.train_rows(index, rows)
 
 
 class TestFeatures:
@@ -57,42 +69,40 @@ class TestUnit:
         unit = WinnowUnit(threshold=6.0, promotion=1.5, demotion=0.5)
         feats = [("f", i) for i in range(6)]
         # all-ones weights for 6 active features score 6 >= theta -> positive
-        assert unit.train_example(feats, False) is True
-        assert all(unit.weights[f] == 0.5 for f in feats)
-
-    def test_generator_features_update_weights(self):
-        unit = WinnowUnit(threshold=6.0, promotion=1.5, demotion=0.5)
-        feats = [("f", i) for i in range(6)]
-        assert unit.train_example((f for f in feats), False) is True
+        assert train(unit, [(feats, False)]) == 1
         assert all(unit.weights[f] == 0.5 for f in feats)
 
     def test_promotion_on_false_negative(self):
         unit = WinnowUnit(threshold=6.0, promotion=1.5, demotion=0.5)
         feats = [("f", 0)]
-        assert unit.train_example(feats, True) is True
+        assert train(unit, [(feats, True)]) == 1
         assert unit.weights[("f", 0)] == 1.5
 
     def test_no_update_when_correct(self):
         # a correct example allocates active features at 1 but does not
         # promote or demote them
         unit = WinnowUnit(threshold=6.0, promotion=1.5, demotion=0.5)
-        assert unit.train_example([("f", 0)], False) is False
+        assert train(unit, [([("f", 0)], False)]) == 0
         assert unit.weights == {("f", 0): 1.0}
 
     def test_weights_stay_positive(self):
         unit = WinnowUnit(threshold=2.0, promotion=1.5, demotion=0.5)
         rng = PrngStream(4)
+        examples = []
         for _ in range(500):
             feats = [("f", rng.next_below(10)) for _ in range(3)]
-            unit.train_example(feats, rng.next_below(2) == 0)
+            examples.append((feats, rng.next_below(2) == 0))
+        train(unit, examples)
         assert all(w > 0 for w in unit.weights.values())
 
     def test_decision_invariant_under_scaling(self):
         unit = WinnowUnit(threshold=3.0, promotion=1.5, demotion=0.5)
         rng = PrngStream(5)
+        examples = []
         for _ in range(200):
             feats = [("f", rng.next_below(8)) for _ in range(3)]
-            unit.train_example(feats, rng.next_below(2) == 0)
+            examples.append((feats, rng.next_below(2) == 0))
+        train(unit, examples)
         scaled = WinnowUnit(threshold=unit.threshold * 7.0, promotion=1.5, demotion=0.5)
         scaled.weights = {f: w * 7.0 for f, w in unit.weights.items()}
         for probe in range(50):
@@ -104,12 +114,82 @@ class TestUnit:
         unit = WinnowUnit(threshold=1000.0, promotion=1.5, demotion=0.5)
         rng = PrngStream(99)
         relevant = (0, 1, 2)
-        mistakes = 0
+        examples = []
         for _ in range(3000):
             active = [f for f in range(1000) if rng.next_below(100) < 5]
-            label = any(f in active for f in relevant)
-            mistakes += unit.train_example(active, label)
+            examples.append((active, any(f in active for f in relevant)))
+        mistakes = train(unit, examples)
         assert mistakes <= 60
+
+
+# Random small corpora over three tags; each token is outside a chunk (0),
+# opens one (1) or continues the open one (2; read as 1 after an outside token).
+_TOKENS = st.lists(st.tuples(st.sampled_from("ABC"), st.integers(0, 2)), max_size=7)
+
+
+def _sentence(tokens):
+    spans, start = [], None
+    for i, (_, mark) in enumerate(tokens):
+        if start is not None and mark != 2:
+            spans.append((start, i))
+            start = None
+        if mark and start is None:
+            start = i
+    if start is not None:
+        spans.append((start, len(tokens)))
+    return sent([tag for tag, _ in tokens], spans)
+
+
+def _setdefault_winnow(corpus, ids, config, rng):
+    """Reference rule: per example, allocate unseen features at 1 in a dict,
+    sum, and update every active feature on a mistake."""
+    weights = ({}, {})
+    order = list(ids)
+    for _ in range(config.epochs):
+        rng.shuffle(order)
+        for s in order:
+            sentence = corpus.sentences[s]
+            labels = ({a for a, _ in sentence.gold_spans}, {b - 1 for _, b in sentence.gold_spans})
+            for i, features in enumerate(window_features(sentence.pos_tags)):
+                for unit, positives in zip(weights, labels):
+                    score = 0.0
+                    for f in features:
+                        score += unit.setdefault(f, 1.0)
+                    label = i in positives
+                    if (score >= config.threshold) != label:
+                        factor = config.promotion if label else config.demotion
+                        for f in features:
+                            unit[f] *= factor
+    return weights
+
+
+def _hex(weights):
+    return {f: w.hex() for f, w in weights.items()}
+
+
+class TestCachedScores:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        sentences=st.lists(_TOKENS, min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=12),
+        epochs=st.integers(1, 3),
+        promotion=st.floats(1.05, 3.0),
+        demotion=st.floats(0.05, 0.95),
+        threshold=st.floats(0.5, 8.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_weights_equal_the_setdefault_rule(self, sentences, picks, epochs, promotion,
+                                                demotion, threshold, seed):
+        corpus = Corpus(tuple(_sentence(tokens) for tokens in sentences))
+        ids = [p % len(corpus) for p in picks]  # repeats, as in a bootstrap view
+        config = WinnowConfig(promotion, demotion, threshold, epochs)
+        expected = _setdefault_winnow(corpus, ids, config, PrngStream(seed))
+        indexed = winnow_train_ids(WinnowIndex(corpus), ids, config, PrngStream(seed))
+        view = Corpus(tuple(corpus.sentences[i] for i in ids))
+        fresh = winnow_train(view, config, PrngStream(seed))
+        for network in (indexed, fresh):
+            units = (network.begin_unit.weights, network.end_unit.weights)
+            assert [_hex(u) for u in units] == [_hex(u) for u in expected]
 
 
 class TestTrainPredict:
