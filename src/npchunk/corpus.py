@@ -64,15 +64,6 @@ class Sentence:
     def __len__(self) -> int:
         return len(self.words)
 
-    def signature(self) -> tuple:
-        """Hashable key identifying POS sequence + span layout.
-
-        Learners in this package only look at POS tags and spans, so sentences
-        with equal signatures are interchangeable for training; this enables
-        caching of per-sentence work.
-        """
-        return (self.pos_tags, self.gold_spans)
-
 
 @dataclass(frozen=True)
 class Corpus:

@@ -1,7 +1,7 @@
 """Experiment orchestration: resample scheduling, training, report emission.
 
-An experiment trains every configured system on the same training view of
-every resample (pairing by resample_id is thereby guaranteed), evaluates
+An experiment trains every configured system on the same training sentence
+ids of every resample (pairing by resample_id is thereby guaranteed), evaluates
 each trained model on every test corpus, and aggregates recall
 distributions. Output is a set of TSV files; given a fixed config (seed
 included) they are byte-identical across runs and across worker counts.
@@ -145,6 +145,18 @@ class ExperimentConfig:
         labels = [s.label for s in self.systems]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate system labels: {labels}")
+        # each (system, test) pair writes samples/<system>_<test>.tsv
+        tests = [label for label, _ in self.test_corpora]
+        for label in labels + tests:
+            if set(label) & set("/\t\n"):
+                raise ConfigError(f"label {label!r} contains '/', a tab or a newline")
+        named: dict[str, tuple[str, str]] = {}
+        for pair in itertools.product(labels, tests):
+            name = "_".join(pair)
+            if name in named:
+                raise ConfigError(f"(system, test) pairs {named[name]} and {pair} "
+                                  f"both write samples/{name}.tsv")
+            named[name] = pair
 
     def method_string(self) -> str:
         if self.method == "bootstrap":
@@ -303,9 +315,16 @@ class _Experiment:
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        self.train = read_corpus(config.training_corpus)
+
+        def load(key: str, path: str) -> Corpus:
+            corpus = read_corpus(path)
+            if not corpus.instance_count():
+                raise ConfigError(f"config key {key!r}: {path} has no base-NP instances")
+            return corpus
+
+        self.train = load("train", config.training_corpus)
         self.tests = tuple(
-            (label, read_corpus(path)) for label, path in config.test_corpora
+            (label, load(f"test.{label}", path)) for label, path in config.test_corpora
         )
         self.tasks = build_plans(config, self.train)
         # interned once, before any worker starts, for every Winnow training
@@ -319,7 +338,7 @@ class _Experiment:
         )
 
     def run_resample(self, task) -> dict[tuple[str, str], RunMetrics]:
-        """Train every system on a task's view; score it on every test corpus.
+        """Train every system on a task's training ids; score it on every test corpus.
 
         A task is (resample_id, plan, held_out_fold). Plan None stands for
         the full training corpus, whose Winnow shuffles come from the
@@ -330,12 +349,11 @@ class _Experiment:
             ids, purpose = range(len(self.train)), "train-full"
         else:
             ids, purpose = training_ids(plan, held_out), "train"
-        view = Corpus(tuple(self.train.sentences[i] for i in ids))
         results = {}
         for spec in self.config.systems:
             cfg = spec.build()
             if spec.kind == "mbsl":
-                model = mbsl.mbsl_train(view, cfg)
+                model = mbsl.mbsl_train_ids(self.train, ids, cfg)
                 predict = mbsl.mbsl_predict
             else:
                 rng = derive_stream(
@@ -377,6 +395,11 @@ def _run_in_worker(task) -> dict[tuple[str, str], RunMetrics]:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     experiment = _Experiment(config)
+    # full-training point estimate E(.), first: forked pool workers inherit its warm caches
+    e_full = {
+        key: metrics.recall
+        for key, metrics in experiment.run_resample((0, None, None)).items()
+    }
     run_metrics: dict[tuple[str, str], list[RunMetrics]] = defaultdict(list)
     for results in experiment.run_all():
         for key, metrics in results.items():
@@ -391,12 +414,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             values = tuple(m.recall for m in run_metrics[key])
             samples[key] = RecallSamples(f"{spec.label}/{test_label}", values)
             summaries[key] = evalstats.summarize(samples[key])
-
-    # full-training point estimate E(.)
-    e_full = {
-        key: metrics.recall
-        for key, metrics in experiment.run_resample((0, None, None)).items()
-    }
 
     # paired system comparisons per test corpus, and cross-dataset
     # correlations per system; both need at least two resamples
@@ -606,35 +623,18 @@ def stats_cmd(paths: Sequence[str | Path]) -> str:
     lengths = {len(s.values) for s in samples}
     if len(samples) > 1 and len(lengths) != 1:
         raise ConfigError(f"sample files disagree on length: {sorted(lengths)}")
-    lines = []
+    rows = []
     for sample in samples:
         summary = evalstats.summarize(sample)
-        lines.append(
-            "\t".join(
-                ("summary", sample.label, str(summary.n), _fmt(summary.mean), _fmt(summary.std))
-            )
-        )
+        rows.append(("summary", sample.label, summary.n, summary.mean, summary.std))
     compared = [s for s in samples if len(s.values) >= 2]  # all or none
     for i, sample_a in enumerate(compared):
         for sample_b in compared[i + 1:]:
             c = evalstats.compare_paired(sample_a, sample_b)
-            lines.append(
-                "\t".join(
-                    (
-                        "pair",
-                        sample_a.label,
-                        sample_b.label,
-                        _fmt(c.rho),
-                        _fmt(c.p_a_gt_b),
-                        _fmt(c.p_tie),
-                        _fmt(c.sigma_diff),
-                    )
-                )
-            )
+            rows.append(("pair", sample_a.label, sample_b.label,
+                         c.rho, c.p_a_gt_b, c.p_tie, c.sigma_diff))
     if len(compared) >= 3:
         matrix = evalstats.correlation_matrix(compared)
         for sample, row in zip(compared, matrix):
-            lines.append(
-                "\t".join(["xcorr", sample.label] + [_fmt(v) for v in row])
-            )
-    return "\n".join(lines) + "\n"
+            rows.append(("xcorr", sample.label, *row))
+    return "\n".join("\t".join(_fmt(v) for v in row) for row in rows) + "\n"

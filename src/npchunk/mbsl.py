@@ -1,12 +1,14 @@
 """Memory-based base-NP learner.
 
-Training counts every window of at most max_tile_len POS tags, keyed by its
-tags and the gold borders inside it (its profile). A tile is such a window
-with the border(s) of one chunk marked; it scores pos/(pos+neg), how often
-its tags occur with those marks versus without them. The context size c
-bounds the tags outside a border, and inside when only one border is
-carried. In a window of l tags, an opening at o belongs to the chunk that
-ends at the first close m >= o, and the window yields the tiles
+Training runs over a multiset of sentence ids, as a resample gives them. It
+counts every window of at most max_tile_len POS tags, keyed by its tags and
+the gold borders inside it (its profile), once per occurrence of its
+sentence's id. A tile is such a window with the border(s) of one chunk
+marked; it scores pos/(pos+neg), how often its tags occur with those marks
+versus without them. The context size c bounds the tags outside a border,
+and inside when only one border is carried. In a window of l tags, an
+opening at o belongs to the chunk that ends at the first close m >= o, and
+the window yields the tiles
   [o..m]  both borders, if o <= c, that m exists and l-1-m <= c;
   [o..    opening only, if o <= c, l-o <= c and the chunk reaches the
           window's last tag (m is l-1 or lies past the window);
@@ -30,7 +32,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .corpus import ChunkSpan, Corpus, Sentence
 
@@ -66,14 +68,14 @@ class MbslConfig:
             raise ValueError("min_positive_count must be >= 1")
 
 
-Signature = tuple[tuple[str, ...], tuple[tuple[int, int], ...]]
 # perfbench/child.py sums the hits and misses of _sentence_tiles and _sentence_profiles.
 # Tiles are now read off the profiles, so the tile cache is gone and counts no calls.
 _sentence_tiles = SimpleNamespace(cache_info=lambda: SimpleNamespace(hits=0, misses=0))
 
 
 @lru_cache(maxsize=65536)
-def _sentence_profiles(sig: Signature, max_tile_len: int) -> dict:
+def _sentence_profiles(tags: tuple[str, ...], spans: tuple[ChunkSpan, ...],
+                       max_tile_len: int) -> dict:
     """Occurrence counts of every window, keyed by (seq, opens, closes).
 
     opens/closes describe where gold borders fall inside the window. Tiles
@@ -81,7 +83,6 @@ def _sentence_profiles(sig: Signature, max_tile_len: int) -> dict:
     profiles: occurrences whose border layout includes the tile's marks are
     positive, all other occurrences of the same POS sequence are negative.
     """
-    tags, spans = sig
     length = len(tags)
     starts = {s for s, _ in spans}
     ends = {e for _, e in spans}
@@ -127,19 +128,19 @@ def _window_tiles(seq: tuple[str, ...], opens: tuple[int, ...],
     return tiles
 
 
-def _count_tiles(corpus: Corpus, config: MbslConfig) -> tuple[dict[Tile, tuple[int, int]], int]:
-    """(tile -> (pos_count, neg_count), longest gold NP length)."""
-    groups: Counter = Counter(s.signature() for s in corpus.sentences)
-    profiles: Counter = Counter()
+def _count_tiles(corpus: Corpus, ids: Iterable[int], config: MbslConfig
+                 ) -> tuple[dict[Tile, tuple[int, int]], int]:
+    """(tile -> (pos_count, neg_count), longest gold NP length) over the
+    sentences ids, each counted as often as it occurs."""
+    profiles: dict = {}
+    get = profiles.get
     max_np_len = 0
-    for sig, mult in groups.items():
-        sig_profiles = _sentence_profiles(sig, config.max_tile_len)
-        if mult == 1:
-            profiles.update(sig_profiles)
-        else:
-            for key, count in sig_profiles.items():
-                profiles[key] += count * mult
-        for start, end in sig[1]:
+    for i, mult in Counter(ids).items():
+        sentence = corpus.sentences[i]
+        for key, count in _sentence_profiles(
+                sentence.pos_tags, sentence.gold_spans, config.max_tile_len).items():
+            profiles[key] = get(key, 0) + count * mult
+        for start, end in sentence.gold_spans:
             if end - start > max_np_len:
                 max_np_len = end - start
 
@@ -162,10 +163,10 @@ def _count_tiles(corpus: Corpus, config: MbslConfig) -> tuple[dict[Tile, tuple[i
     return table, max_np_len
 
 
-def mbsl_train(corpus: Corpus, config: MbslConfig) -> MbslModel:
-    """Train on a corpus; duplicated sentences contribute multiply."""
+def mbsl_train_ids(corpus: Corpus, ids: Iterable[int], config: MbslConfig) -> MbslModel:
+    """Train on the sentences ids of corpus, each as often as its id occurs."""
     # counted in a helper so its profiles are freed before the index is built
-    table, max_np_len = _count_tiles(corpus, config)
+    table, max_np_len = _count_tiles(corpus, ids, config)
     index: dict = defaultdict(list)
     for tile, (pos, neg) in table.items():
         if pos < config.min_positive_count:
@@ -178,6 +179,11 @@ def mbsl_train(corpus: Corpus, config: MbslConfig) -> MbslModel:
                 tile.closes[0] + 1 if tile.closes else None,
             ))
     return MbslModel(config, table, max_np_len, dict(index))
+
+
+def mbsl_train(corpus: Corpus, config: MbslConfig) -> MbslModel:
+    """mbsl_train_ids over every sentence of corpus once."""
+    return mbsl_train_ids(corpus, range(len(corpus)), config)
 
 
 def mbsl_predict(model: MbslModel, sentence: Sentence) -> list[ChunkSpan]:

@@ -34,7 +34,6 @@ class TestDataModel:
     def test_span_is_a_plain_pair(self):
         s = sent([("a", "DT"), ("b", "NN")], [(0, 2)])
         assert s.gold_spans == ((0, 2),)
-        assert s.signature() == (("DT", "NN"), ((0, 2),))
 
     def test_span_ordering_enforced(self):
         with pytest.raises(ValueError):

@@ -123,6 +123,26 @@ class TestConfig:
                 systems=(parse_system("mbsl:c=1"), parse_system("mbsl:c=1")),
             )
 
+    @pytest.mark.parametrize("system, test, bad", [
+        ("mbsl:c=1,label=x/y", "a", "x/y"),
+        ("mbsl:c=1", "../a", "../a"),
+        ("mbsl:c=1", "x\ty", "x\ty"),
+    ])
+    def test_label_with_slash_or_tab_rejected(self, corpora, system, test, bad):
+        with pytest.raises(ConfigError, match=re.escape(f"label {bad!r}")):
+            make_config(corpora, "out", systems=(parse_system(system),),
+                        test_corpora=((test, corpora["a"]),))
+
+    def test_colliding_sample_files_name_both_pairs(self, corpora):
+        # a x b_c and a_b x c would both write samples/a_b_c.tsv
+        with pytest.raises(ConfigError, match=re.escape(
+                "('a', 'b_c') and ('a_b', 'c') both write samples/a_b_c.tsv")):
+            make_config(
+                corpora, "out",
+                systems=(parse_system("mbsl:label=a"), parse_system("mbsl:c=3,label=a_b")),
+                test_corpora=(("b_c", corpora["a"]), ("c", corpora["b"])),
+            )
+
     def test_hash_insensitive_to_output_dir_and_workers(self, corpora):
         c1 = make_config(corpora, "out1", workers=1)
         c2 = make_config(corpora, "out2", workers=4)
@@ -267,6 +287,23 @@ class TestRunExperiment:
         report = run_experiment(config)
         for sample in report.samples.values():
             assert len(sample.values) == 10
+
+    @pytest.mark.parametrize("key, method, text", [
+        ("test.b", "bootstrap", ""),
+        ("test.b", "bootstrap", "a\tDT\tO\nb\tNN\tO\n"),
+        ("train", "bootstrap", "a\tDT\tO\nb\tNN\tO\n"),
+        ("train", "cv", "a\tDT\tO\n\nb\tNN\tO\n"),
+    ])
+    def test_corpus_without_instances_names_key_and_path(self, corpora, tmp_path,
+                                                         key, method, text):
+        bare = tmp_path / "bare.iob2"
+        bare.write_text(text)
+        paths = {**corpora, {"train": "train", "test.b": "b"}[key]: str(bare)}
+        config = make_config(paths, tmp_path / "out", method=method, k=2)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"config key {key!r}: {bare} has no base-NP instances")):
+            run_experiment(config)
+        assert not (tmp_path / "out").exists()
 
     def test_worker_count_does_not_change_bytes(self, corpora, tmp_path):
         cfg1 = make_config(

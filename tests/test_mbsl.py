@@ -14,6 +14,7 @@ from npchunk.mbsl import (
     Tile,
     mbsl_predict,
     mbsl_train,
+    mbsl_train_ids,
 )
 from npchunk.evalstats import score_run
 from npchunk.resample import derive_stream
@@ -185,16 +186,43 @@ class TestTileRule:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
         train=st.lists(_segments, min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 5), min_size=1, max_size=12),
         c=st.integers(0, 4),
         max_tile_len=st.integers(1, 7),
     )
-    def test_profile_tiles_equal_span_extraction(self, train, c, max_tile_len):
+    def test_profile_tiles_equal_span_extraction(self, train, picks, c, max_tile_len):
         # _segments draws adjacent chunks too, so a window can hold a close
-        # directly followed by an opening
+        # directly followed by an opening; picks are training ids, repeats allowed
         corpus = Corpus(tuple(_sentence(segments) for segments in train))
-        model = mbsl_train(corpus, MbslConfig(c, max_tile_len))
-        expected = set().union(*(_span_tiles(s, c, max_tile_len) for s in corpus.sentences))
+        ids = [pick % len(corpus) for pick in picks]
+        view = Corpus(tuple(corpus.sentences[i] for i in ids))
+        cfg = MbslConfig(c, max_tile_len)
+        model = mbsl_train_ids(corpus, ids, cfg)
+        expected = set().union(*(_span_tiles(s, c, max_tile_len) for s in view.sentences))
         assert list(model.table) == sorted(expected)
+        for tile, counts in model.table.items():
+            assert counts == _window_counts(view, tile)
+        reference = mbsl_train(view, cfg)
+        assert model.index == reference.index
+        assert model.max_np_len == reference.max_np_len
+
+
+def _window_counts(corpus, tile):
+    """(pos, neg) by brute force: every window of corpus with the tile's tags,
+    positive when gold borders sit at all of the tile's marks."""
+    pos = neg = 0
+    for sentence in corpus.sentences:
+        starts = {start for start, _ in sentence.gold_spans}
+        ends = {end for _, end in sentence.gold_spans}
+        for p in range(len(sentence) - len(tile.seq) + 1):
+            if sentence.pos_tags[p:p + len(tile.seq)] != tile.seq:
+                continue
+            if (all(p + o in starts for o in tile.opens)
+                    and all(p + m + 1 in ends for m in tile.closes)):
+                pos += 1
+            else:
+                neg += 1
+    return pos, neg
 
 
 def _chain_score(model, tiles_by_seq, tags, i, j):
