@@ -79,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
                     "NA" if metrics.precision is None else f"{metrics.precision:.6f}"
                 )
                 print(f"{system}\t{test}\trecall={metrics.recall:.6f}\tprecision={precision}")
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -327,7 +327,14 @@ class _Experiment:
             (label, load(f"test.{label}", path)) for label, path in config.test_corpora
         )
         self.tasks = build_plans(config, self.train)
-        # interned once, before any worker starts, for every Winnow training
+        # interned once, before any worker starts, for every training: one
+        # MBSL index per tile length, shared by the MBSL systems that use it
+        self.mbsl_indexes = {
+            length: mbsl.MbslIndex(self.train, length)
+            for length in sorted({
+                spec.build().max_tile_len for spec in config.systems if spec.kind == "mbsl"
+            })
+        }
         self.winnow_index = (
             winnow.WinnowIndex(self.train)
             if any(spec.kind == "winnow" for spec in config.systems) else None
@@ -349,11 +356,15 @@ class _Experiment:
             ids, purpose = range(len(self.train)), "train-full"
         else:
             ids, purpose = training_ids(plan, held_out), "train"
+        # one profile-count vector per MBSL index, shared by its systems
+        counts = {length: index.counts(ids) for length, index in self.mbsl_indexes.items()}
         results = {}
         for spec in self.config.systems:
             cfg = spec.build()
             if spec.kind == "mbsl":
-                model = mbsl.mbsl_train_ids(self.train, ids, cfg)
+                model = mbsl.mbsl_train_counts(
+                    self.mbsl_indexes[cfg.max_tile_len], counts[cfg.max_tile_len], cfg
+                )
                 predict = mbsl.mbsl_predict
             else:
                 rng = derive_stream(
@@ -395,7 +406,8 @@ def _run_in_worker(task) -> dict[tuple[str, str], RunMetrics]:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     experiment = _Experiment(config)
-    # full-training point estimate E(.), first: forked pool workers inherit its warm caches
+    # full-training point estimate E(.), first: forked pool workers inherit the
+    # MBSL tile maps it builds
     e_full = {
         key: metrics.recall
         for key, metrics in experiment.run_resample((0, None, None)).items()

@@ -15,6 +15,15 @@ the window yields the tiles
   ..m]    closing only, for each close m with m+1 <= c, l-1-m <= c and
           no opening at 1..m (its chunk opens at or before tag 0).
 
+The counts are linear in the sentence multiplicities m_s: a tile's
+pos(t) = sum_s m_s*pos_s(t), and pos+neg sums the same way. So an MbslIndex
+interns a training corpus's profile keys once and holds each sentence's
+profile as (key id, count) pairs. A resample sums those once into one count
+vector (MbslIndex.counts), shared by every context size. Per context size
+the index lists the tiles once, sorted, and each key's positive and
+yielded tile ids; training (mbsl_train_counts) pushes the counts to tile
+ids and keeps the tiles some counted key yields.
+
 Prediction covers a candidate span (i, j) with a chain of stored tiles whose
 borders sit at i and j, from the opening border to the closing one, adjacent
 tiles overlapping in at least one POS position, and every tile scoring
@@ -28,9 +37,11 @@ rule). Covered candidates are then selected greedily by score.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple
 
@@ -68,7 +79,8 @@ class MbslConfig:
             raise ValueError("min_positive_count must be >= 1")
 
 
-# perfbench/child.py sums the hits and misses of _sentence_tiles and _sentence_profiles.
+# perfbench/child.py sums the hits and misses of _sentence_tiles and _sentence_profiles,
+# and divides by them: MbslIndex reads its profiles through that cache for this reason.
 # Tiles are now read off the profiles, so the tile cache is gone and counts no calls.
 _sentence_tiles = SimpleNamespace(cache_info=lambda: SimpleNamespace(hits=0, misses=0))
 
@@ -84,16 +96,22 @@ def _sentence_profiles(tags: tuple[str, ...], spans: tuple[ChunkSpan, ...],
     positive, all other occurrences of the same POS sequence are negative.
     """
     length = len(tags)
-    starts = {s for s, _ in spans}
-    ends = {e for _, e in spans}
-    profiles: Counter = Counter()
+    opening = [False] * length  # a chunk opens before tag i
+    closing = [False] * length  # a chunk closes after tag i
+    for start, end in spans:
+        opening[start] = closing[end - 1] = True
+    profiles: dict = {}
     for p in range(length):
-        for l in range(1, min(max_tile_len, length - p) + 1):
-            seq = tags[p:p + l]
-            opens = tuple(m for m in range(l) if p + m in starts)
-            closes = tuple(m for m in range(l) if p + m + 1 in ends)
-            profiles[(seq, opens, closes)] += 1
-    return dict(profiles)
+        opens: tuple[int, ...] = ()
+        closes: tuple[int, ...] = ()
+        for m in range(min(max_tile_len, length - p)):
+            if opening[p + m]:
+                opens += (m,)
+            if closing[p + m]:
+                closes += (m,)
+            key = (tags[p:p + m + 1], opens, closes)
+            profiles[key] = profiles.get(key, 0) + 1
+    return profiles
 
 
 @dataclass
@@ -128,62 +146,130 @@ def _window_tiles(seq: tuple[str, ...], opens: tuple[int, ...],
     return tiles
 
 
-def _count_tiles(corpus: Corpus, ids: Iterable[int], config: MbslConfig
-                 ) -> tuple[dict[Tile, tuple[int, int]], int]:
-    """(tile -> (pos_count, neg_count), longest gold NP length) over the
-    sentences ids, each counted as often as it occurs."""
-    profiles: dict = {}
-    get = profiles.get
-    max_np_len = 0
-    for i, mult in Counter(ids).items():
-        sentence = corpus.sentences[i]
-        for key, count in _sentence_profiles(
-                sentence.pos_tags, sentence.gold_spans, config.max_tile_len).items():
-            profiles[key] = get(key, 0) + count * mult
-        for start, end in sentence.gold_spans:
-            if end - start > max_np_len:
-                max_np_len = end - start
+class ProfileCounts(NamedTuple):
+    """Profile counts of a multiset of sentences, sum_s m_s*P_s."""
 
-    tile_keys: set[Tile] = set()
-    by_seq: dict[tuple[str, ...], list[tuple[frozenset, frozenset, int]]] = defaultdict(list)
-    totals: Counter = Counter()
-    for (seq, opens, closes), count in profiles.items():
-        tile_keys.update(_window_tiles(seq, opens, closes, config.context_size))
-        by_seq[seq].append((frozenset(opens), frozenset(closes), count))
-        totals[seq] += count
+    by_key: list[int]  # key id of an MbslIndex -> occurrences
+    max_np_len: int  # longest gold NP among the sentences
 
+
+class _TileMap(NamedTuple):
+    """An MbslIndex's tiles at one context size, in table order."""
+
+    tiles: list[Tile]  # sorted, so a tile's id is its rank
+    tile_seq: list[int]  # tile id -> seq id
+    positive: list[tuple[int, ...]]  # key id -> ids of the tiles it is positive for
+    yields: list[tuple[int, ...]]  # key id -> ids of the tiles _window_tiles gives
+
+
+class MbslIndex:
+    """The window profiles of a training corpus, interned once.
+
+    keys[k] is a profile key (seq, opens, closes), and key_seq[k] the id
+    seqs gives its seq. pairs[s] holds sentence s's profile as flat
+    (key id, count) pairs, and max_np[s] its longest gold NP. tile_map(c)
+    lists the tiles the keys yield at context size c, built on first use.
+    """
+
+    def __init__(self, corpus: Corpus, max_tile_len: int):
+        self.max_tile_len = max_tile_len
+        self.pairs: list[array] = []
+        self.max_np: list[int] = []
+        key_ids: dict = {}
+        for sentence in corpus.sentences:
+            profile = _sentence_profiles(sentence.pos_tags, sentence.gold_spans, max_tile_len)
+            ids = [key_ids.setdefault(key, len(key_ids)) for key in profile]
+            self.pairs.append(array("i", chain.from_iterable(zip(ids, profile.values()))))
+            self.max_np.append(max((end - start for start, end in sentence.gold_spans),
+                                   default=0))
+        self.keys: list[tuple] = list(key_ids)
+        self.seqs: dict[tuple[str, ...], int] = {}
+        self.key_seq = [self.seqs.setdefault(seq, len(self.seqs)) for seq, _, _ in self.keys]
+        self._tile_maps: dict[int, _TileMap] = {}
+
+    def counts(self, ids: Iterable[int]) -> ProfileCounts:
+        """The profile counts of the sentences ids, each as often as it occurs."""
+        by_key = [0] * len(self.keys)
+        max_np_len = 0
+        for s, mult in Counter(ids).items():
+            pairs = iter(self.pairs[s])
+            for k, count in zip(pairs, pairs):
+                by_key[k] += count * mult
+            max_np_len = max(max_np_len, self.max_np[s])
+        return ProfileCounts(by_key, max_np_len)
+
+    def tile_map(self, c: int) -> _TileMap:
+        """The tiles every key yields at context size c, with each key's
+        positive and yielded tile ids; built once per c."""
+        tile_map = self._tile_maps.get(c)
+        if tile_map is None:
+            yielded = [_window_tiles(seq, opens, closes, c) for seq, opens, closes in self.keys]
+            tiles = sorted(set(chain.from_iterable(yielded)))
+            ids = {tile: t for t, tile in enumerate(tiles)}
+            by_seq: dict[tuple[str, ...], list[int]] = defaultdict(list)
+            for t, tile in enumerate(tiles):
+                by_seq[tile.seq].append(t)
+            positive = []
+            for seq, opens, closes in self.keys:
+                # a key is positive for a tile of its seq whose marks it all carries
+                positive.append(tuple(
+                    t for t in by_seq.get(seq, ())
+                    if set(tiles[t].opens).issubset(opens)
+                    and set(tiles[t].closes).issubset(closes)
+                ))
+            tile_map = self._tile_maps[c] = _TileMap(
+                tiles,
+                [self.seqs[tile.seq] for tile in tiles],
+                positive,
+                [tuple(ids[tile] for tile in key_tiles) for key_tiles in yielded],
+            )
+        return tile_map
+
+
+def mbsl_train_counts(index: MbslIndex, counts: ProfileCounts,
+                      config: MbslConfig) -> MbslModel:
+    """Train on the profile counts of index's sentences that counts sums.
+
+    Tile counts are linear in the profile counts: a tile's pos is the sum
+    over the keys positive for it, and pos + neg the sum over the keys of
+    its seq. The table holds the tiles some counted key yields.
+    """
+    tiles, tile_seq, positive, yields = index.tile_map(config.context_size)
+    pos = [0] * len(tiles)
+    total = [0] * len(index.seqs)
+    live = bytearray(len(tiles))
+    key_seq = index.key_seq
+    for k, count in enumerate(counts.by_key):
+        if count:
+            total[key_seq[k]] += count
+            for t in positive[k]:
+                pos[t] += count
+            for t in yields[k]:
+                live[t] = 1
     table: dict[Tile, tuple[int, int]] = {}
-    for tile in sorted(tile_keys):
-        pos = sum(
-            count
-            for opens, closes, count in by_seq[tile.seq]
-            if opens.issuperset(tile.opens) and closes.issuperset(tile.closes)
-        )
-        table[tile] = (pos, totals[tile.seq] - pos)
-    return table, max_np_len
-
-
-def mbsl_train_ids(corpus: Corpus, ids: Iterable[int], config: MbslConfig) -> MbslModel:
-    """Train on the sentences ids of corpus, each as often as its id occurs."""
-    # counted in a helper so its profiles are freed before the index is built
-    table, max_np_len = _count_tiles(corpus, ids, config)
-    index: dict = defaultdict(list)
-    for tile, (pos, neg) in table.items():
-        if pos < config.min_positive_count:
+    entries: dict = defaultdict(list)  # the model's index
+    for t, tile in enumerate(tiles):
+        if not live[t]:
             continue
-        score = pos / (pos + neg)
+        tile_pos = pos[t]
+        tile_neg = total[tile_seq[t]] - tile_pos
+        table[tile] = (tile_pos, tile_neg)
+        if tile_pos < config.min_positive_count:
+            continue
+        score = tile_pos / (tile_pos + tile_neg)
         if score >= config.tile_threshold:
-            index[tile.seq].append((
+            entries[tile.seq].append((
                 score,
                 tile.opens[0] if tile.opens else None,
                 tile.closes[0] + 1 if tile.closes else None,
             ))
-    return MbslModel(config, table, max_np_len, dict(index))
+    return MbslModel(config, table, counts.max_np_len, dict(entries))
 
 
 def mbsl_train(corpus: Corpus, config: MbslConfig) -> MbslModel:
-    """mbsl_train_ids over every sentence of corpus once."""
-    return mbsl_train_ids(corpus, range(len(corpus)), config)
+    """Train on every sentence of corpus once."""
+    index = MbslIndex(corpus, config.max_tile_len)
+    return mbsl_train_counts(index, index.counts(range(len(corpus))), config)
 
 
 def mbsl_predict(model: MbslModel, sentence: Sentence) -> list[ChunkSpan]:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from npchunk import harness
+from npchunk import cli, harness
 from npchunk.corpus import GenreGrammar, generate_corpus, read_corpus, write_corpus
 from npchunk.harness import (
     ConfigError,
@@ -305,6 +305,19 @@ class TestRunExperiment:
             run_experiment(config)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("systems, lengths", [
+        ("mbsl:c=1;mbsl:c=3", [6]),
+        ("mbsl:c=1;mbsl:c=3,max_tile_len=4;winnow", [4, 6]),
+        ("winnow", []),
+    ])
+    def test_one_mbsl_index_per_tile_length(self, corpora, tmp_path, systems, lengths):
+        config = make_config(corpora, tmp_path / "out", systems=tuple(
+            parse_system(spec) for spec in systems.split(";")))
+        experiment = harness._Experiment(config)
+        assert sorted(experiment.mbsl_indexes) == lengths
+        for length, index in experiment.mbsl_indexes.items():
+            assert index.max_tile_len == length
+
     def test_worker_count_does_not_change_bytes(self, corpora, tmp_path):
         cfg1 = make_config(
             corpora, tmp_path / "w1", systems=(parse_system("winnow"),), workers=1
@@ -533,3 +546,17 @@ class TestCli:
         result = self.run_cli("run", "--config", str(tmp_path / "missing.cfg"))
         assert result.returncode == 2
         assert "error:" in result.stderr
+
+    @pytest.mark.parametrize("args", [
+        lambda cfg, d: ["run", "--config", d],
+        lambda cfg, d: ["run", "--config", cfg, f"train={d}"],
+        lambda cfg, d: ["stats", d],
+    ], ids=["config", "train", "stats"])
+    def test_directory_path_fails_like_missing_file(self, corpora, tmp_path, capsys, args):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"master_seed=2\ntrain={corpora['train']}\ntest.a={corpora['a']}\n"
+            f"B=2\nsystems=mbsl:c=1\noutput_dir={tmp_path / 'out'}\n"
+        )
+        assert cli.main(args(str(cfg), str(tmp_path))) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"

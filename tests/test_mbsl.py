@@ -1,4 +1,6 @@
 import pytest
+from collections import Counter
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -11,10 +13,12 @@ from npchunk.corpus import (
 )
 from npchunk.mbsl import (
     MbslConfig,
+    MbslIndex,
     Tile,
+    _sentence_profiles,
     mbsl_predict,
     mbsl_train,
-    mbsl_train_ids,
+    mbsl_train_counts,
 )
 from npchunk.evalstats import score_run
 from npchunk.resample import derive_stream
@@ -197,7 +201,8 @@ class TestTileRule:
         ids = [pick % len(corpus) for pick in picks]
         view = Corpus(tuple(corpus.sentences[i] for i in ids))
         cfg = MbslConfig(c, max_tile_len)
-        model = mbsl_train_ids(corpus, ids, cfg)
+        index = MbslIndex(corpus, max_tile_len)
+        model = mbsl_train_counts(index, index.counts(ids), cfg)
         expected = set().union(*(_span_tiles(s, c, max_tile_len) for s in view.sentences))
         assert list(model.table) == sorted(expected)
         for tile, counts in model.table.items():
@@ -205,6 +210,47 @@ class TestTileRule:
         reference = mbsl_train(view, cfg)
         assert model.index == reference.index
         assert model.max_np_len == reference.max_np_len
+
+
+class TestProfileIndex:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(segments=_segments, max_tile_len=st.integers(1, 7))
+    def test_profiles_equal_brute_force(self, segments, max_tile_len):
+        sentence = _sentence(segments)
+        tags, length = sentence.pos_tags, len(sentence)
+        starts = {start for start, _ in sentence.gold_spans}
+        ends = {end for _, end in sentence.gold_spans}
+        expected = Counter()
+        for p in range(length):
+            for l in range(1, min(max_tile_len, length - p) + 1):
+                opens = tuple(m for m in range(l) if p + m in starts)
+                closes = tuple(m for m in range(l) if p + m + 1 in ends)
+                expected[(tags[p:p + l], opens, closes)] += 1
+        profiles = _sentence_profiles.__wrapped__(tags, sentence.gold_spans, max_tile_len)
+        assert list(profiles.items()) == list(expected.items())
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        train=st.lists(_segments, min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+        contexts=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        max_tile_len=st.integers(1, 7),
+    )
+    def test_shared_counts_train_like_materialized_ids(self, train, picks, contexts,
+                                                       max_tile_len):
+        # two context sizes trained from one count vector, as the harness does
+        corpus = Corpus(tuple(_sentence(segments) for segments in train))
+        ids = [pick % len(corpus) for pick in picks]
+        view = Corpus(tuple(corpus.sentences[i] for i in ids))
+        index = MbslIndex(corpus, max_tile_len)
+        counts = index.counts(ids)
+        for c in contexts:
+            cfg = MbslConfig(c, max_tile_len)
+            model = mbsl_train_counts(index, counts, cfg)
+            reference = mbsl_train(view, cfg)
+            assert list(model.table.items()) == list(reference.table.items())
+            assert model.index == reference.index
+            assert model.max_np_len == reference.max_np_len
 
 
 def _window_counts(corpus, tile):
