@@ -307,7 +307,8 @@ def _fmt(value) -> str:
 
 
 class _Experiment:
-    """One config's corpora, resampling tasks and plan digests.
+    """One config's corpora, resolved systems, training indexes, resampling
+    tasks and plan digests.
 
     `run` and `replay` each build one; every resample, and the full-corpus
     training behind e_full, goes through run_resample.
@@ -327,14 +328,11 @@ class _Experiment:
             (label, load(f"test.{label}", path)) for label, path in config.test_corpora
         )
         self.tasks = build_plans(config, self.train)
+        self.systems = tuple((spec, spec.build()) for spec in config.systems)
         # interned once, before any worker starts, for every training: one
-        # MBSL index per tile length, shared by the MBSL systems that use it
-        self.mbsl_indexes = {
-            length: mbsl.MbslIndex(self.train, length)
-            for length in sorted({
-                spec.build().max_tile_len for spec in config.systems if spec.kind == "mbsl"
-            })
-        }
+        # MBSL index at the longest tile length serves every MBSL system
+        lengths = [cfg.max_tile_len for spec, cfg in self.systems if spec.kind == "mbsl"]
+        self.mbsl_index = mbsl.MbslIndex(self.train, max(lengths)) if lengths else None
         self.winnow_index = (
             winnow.WinnowIndex(self.train)
             if any(spec.kind == "winnow" for spec in config.systems) else None
@@ -356,15 +354,12 @@ class _Experiment:
             ids, purpose = range(len(self.train)), "train-full"
         else:
             ids, purpose = training_ids(plan, held_out), "train"
-        # one profile-count vector per MBSL index, shared by its systems
-        counts = {length: index.counts(ids) for length, index in self.mbsl_indexes.items()}
+        # one profile-count vector, shared by every MBSL system
+        counts = self.mbsl_index.counts(ids) if self.mbsl_index else None
         results = {}
-        for spec in self.config.systems:
-            cfg = spec.build()
+        for spec, cfg in self.systems:
             if spec.kind == "mbsl":
-                model = mbsl.mbsl_train_counts(
-                    self.mbsl_indexes[cfg.max_tile_len], counts[cfg.max_tile_len], cfg
-                )
+                model = mbsl.mbsl_train_counts(self.mbsl_index, counts, cfg)
                 predict = mbsl.mbsl_predict
             else:
                 rng = derive_stream(
@@ -382,9 +377,10 @@ class _Experiment:
         if self.config.workers == 1 or len(self.tasks) <= 1:
             return [self.run_resample(task) for task in self.tasks]
         # Workers get the experiment once, as an initializer argument, so
-        # the corpora are not shipped again with every task.
+        # the corpora are not shipped again with every task. A worker per
+        # task at most: a forking pool starts all of them at once.
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.config.workers,
+            max_workers=min(self.config.workers, len(self.tasks)),
             initializer=_init_worker,
             initargs=(self,),
         ) as pool:
@@ -406,8 +402,8 @@ def _run_in_worker(task) -> dict[tuple[str, str], RunMetrics]:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     experiment = _Experiment(config)
-    # full-training point estimate E(.), first: forked pool workers inherit the
-    # MBSL tile maps it builds
+    # full-training point estimate E(.), first: pool workers get the MBSL tile
+    # maps it builds, inherited by fork or pickled with the experiment
     e_full = {
         key: metrics.recall
         for key, metrics in experiment.run_resample((0, None, None)).items()

@@ -19,10 +19,13 @@ The counts are linear in the sentence multiplicities m_s: a tile's
 pos(t) = sum_s m_s*pos_s(t), and pos+neg sums the same way. So an MbslIndex
 interns a training corpus's profile keys once and holds each sentence's
 profile as (key id, count) pairs. A resample sums those once into one count
-vector (MbslIndex.counts), shared by every context size. Per context size
-the index lists the tiles once, sorted, and each key's positive and
-yielded tile ids; training (mbsl_train_counts) pushes the counts to tile
-ids and keeps the tiles some counted key yields.
+vector (MbslIndex.counts), shared by every context size and tile length.
+The profile at a shorter tile length L is the longer one's keys of at most
+L tags, with the same counts, so one index at the longest tile length
+serves them all. Per context size and tile length the index lists the
+tiles once, sorted, and each key's positive and yielded tile ids; training
+(mbsl_train_counts) pushes the counts to tile ids and keeps the tiles some
+counted key yields.
 
 Prediction covers a candidate span (i, j) with a chain of stored tiles whose
 borders sit at i and j, from the opening border to the closing one, adjacent
@@ -167,8 +170,9 @@ class MbslIndex:
 
     keys[k] is a profile key (seq, opens, closes), and key_seq[k] the id
     seqs gives its seq. pairs[s] holds sentence s's profile as flat
-    (key id, count) pairs, and max_np[s] its longest gold NP. tile_map(c)
-    lists the tiles the keys yield at context size c, built on first use.
+    (key id, count) pairs, and max_np[s] its longest gold NP.
+    tile_map(c, max_tile_len) lists the tiles the keys yield at context
+    size c and that tile length, built on first use.
     """
 
     def __init__(self, corpus: Corpus, max_tile_len: int):
@@ -185,7 +189,7 @@ class MbslIndex:
         self.keys: list[tuple] = list(key_ids)
         self.seqs: dict[tuple[str, ...], int] = {}
         self.key_seq = [self.seqs.setdefault(seq, len(self.seqs)) for seq, _, _ in self.keys]
-        self._tile_maps: dict[int, _TileMap] = {}
+        self._tile_maps: dict[tuple[int, int], _TileMap] = {}
 
     def counts(self, ids: Iterable[int]) -> ProfileCounts:
         """The profile counts of the sentences ids, each as often as it occurs."""
@@ -198,12 +202,17 @@ class MbslIndex:
             max_np_len = max(max_np_len, self.max_np[s])
         return ProfileCounts(by_key, max_np_len)
 
-    def tile_map(self, c: int) -> _TileMap:
-        """The tiles every key yields at context size c, with each key's
-        positive and yielded tile ids; built once per c."""
-        tile_map = self._tile_maps.get(c)
+    def tile_map(self, c: int, max_tile_len: int) -> _TileMap:
+        """The tiles every key yields at context size c and tile length
+        max_tile_len, with each key's positive and yielded tile ids; built
+        once per (c, max_tile_len). A key longer than max_tile_len yields no
+        tile, so no tile has its seq and it is positive for none."""
+        tile_map = self._tile_maps.get((c, max_tile_len))
         if tile_map is None:
-            yielded = [_window_tiles(seq, opens, closes, c) for seq, opens, closes in self.keys]
+            yielded = [
+                _window_tiles(seq, opens, closes, c) if len(seq) <= max_tile_len else []
+                for seq, opens, closes in self.keys
+            ]
             tiles = sorted(set(chain.from_iterable(yielded)))
             ids = {tile: t for t, tile in enumerate(tiles)}
             by_seq: dict[tuple[str, ...], list[int]] = defaultdict(list)
@@ -217,7 +226,7 @@ class MbslIndex:
                     if set(tiles[t].opens).issubset(opens)
                     and set(tiles[t].closes).issubset(closes)
                 ))
-            tile_map = self._tile_maps[c] = _TileMap(
+            tile_map = self._tile_maps[(c, max_tile_len)] = _TileMap(
                 tiles,
                 [self.seqs[tile.seq] for tile in tiles],
                 positive,
@@ -232,9 +241,14 @@ def mbsl_train_counts(index: MbslIndex, counts: ProfileCounts,
 
     Tile counts are linear in the profile counts: a tile's pos is the sum
     over the keys positive for it, and pos + neg the sum over the keys of
-    its seq. The table holds the tiles some counted key yields.
+    its seq. The table holds the tiles some counted key yields. The index
+    must reach config.max_tile_len, or the tiles would be too short.
     """
-    tiles, tile_seq, positive, yields = index.tile_map(config.context_size)
+    if config.max_tile_len > index.max_tile_len:
+        raise ValueError(f"max_tile_len {config.max_tile_len} exceeds the index's "
+                         f"{index.max_tile_len}")
+    tiles, tile_seq, positive, yields = index.tile_map(config.context_size,
+                                                       config.max_tile_len)
     pos = [0] * len(tiles)
     total = [0] * len(index.seqs)
     live = bytearray(len(tiles))

@@ -23,6 +23,7 @@ dict-and-setdefault rule gives, to the bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Hashable, Iterable, Sequence
@@ -44,12 +45,12 @@ class WinnowConfig:
     epochs: int = 2
 
     def __post_init__(self):
-        if self.promotion <= 1.0:
-            raise ValueError("promotion must be > 1")
+        if not (math.isfinite(self.promotion) and self.promotion > 1.0):
+            raise ValueError("promotion must be finite and > 1")
         if not (0.0 < self.demotion < 1.0):
             raise ValueError("demotion must lie in (0, 1)")
-        if self.threshold <= 0.0:
-            raise ValueError("threshold must be positive")
+        if not (math.isfinite(self.threshold) and self.threshold > 0.0):
+            raise ValueError("threshold must be finite and positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 

@@ -1,4 +1,7 @@
+import concurrent.futures
 import dataclasses
+import functools
+import multiprocessing
 import os
 import re
 import shutil
@@ -305,20 +308,22 @@ class TestRunExperiment:
             run_experiment(config)
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("systems, lengths", [
-        ("mbsl:c=1;mbsl:c=3", [6]),
-        ("mbsl:c=1;mbsl:c=3,max_tile_len=4;winnow", [4, 6]),
-        ("winnow", []),
+    @pytest.mark.parametrize("systems, length", [
+        ("mbsl:c=1;mbsl:c=3", 6),
+        ("mbsl:c=1;mbsl:c=3,max_tile_len=4;winnow", 6),
+        ("winnow", None),
     ])
-    def test_one_mbsl_index_per_tile_length(self, corpora, tmp_path, systems, lengths):
+    def test_one_mbsl_index_at_longest_tile_length(self, corpora, tmp_path, systems,
+                                                    length):
         config = make_config(corpora, tmp_path / "out", systems=tuple(
             parse_system(spec) for spec in systems.split(";")))
         experiment = harness._Experiment(config)
-        assert sorted(experiment.mbsl_indexes) == lengths
-        for length, index in experiment.mbsl_indexes.items():
-            assert index.max_tile_len == length
+        if length is None:
+            assert experiment.mbsl_index is None
+        else:
+            assert experiment.mbsl_index.max_tile_len == length
 
-    def test_worker_count_does_not_change_bytes(self, corpora, tmp_path):
+    def test_worker_count_does_not_change_bytes(self, corpora, tmp_path, monkeypatch):
         cfg1 = make_config(
             corpora, tmp_path / "w1", systems=(parse_system("winnow"),), workers=1
         )
@@ -327,10 +332,43 @@ class TestRunExperiment:
         )
         run_experiment(cfg1)
         run_experiment(cfg2)
+        # forkserver, the default start method on Linux from Python 3.14,
+        # pickles the whole experiment to each worker
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+            concurrent.futures.ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context("forkserver"),
+        ))
+        run_experiment(dataclasses.replace(cfg2, output_dir=str(tmp_path / "fs")))
         for name in ("summary.tsv", "pairs.tsv", "xcorr.tsv", "plans.tsv", "runs.tsv"):
-            assert (tmp_path / "w1" / name).read_bytes() == (
-                tmp_path / "w2" / name
-            ).read_bytes()
+            expected = (tmp_path / "w1" / name).read_bytes()
+            assert (tmp_path / "w2" / name).read_bytes() == expected
+            assert (tmp_path / "fs" / name).read_bytes() == expected
+
+    def test_pool_starts_at_most_one_worker_per_task(self, corpora, tmp_path, monkeypatch):
+        asked = []
+
+        class SerialPool:
+            """Records max_workers and maps in this process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness, "_worker_experiment", None)
+        serial = run_experiment(make_config(corpora, tmp_path / "w1", b=3))
+        pooled = run_experiment(make_config(corpora, tmp_path / "w8", b=3, workers=8))
+        assert asked == [3]
+        assert pooled.samples == serial.samples
 
     def test_parent_keeps_no_worker_state(self, corpora, tmp_path):
         for workers in (1, 2):

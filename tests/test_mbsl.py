@@ -233,24 +233,29 @@ class TestProfileIndex:
     @given(
         train=st.lists(_segments, min_size=1, max_size=6),
         picks=st.lists(st.integers(0, 5), min_size=1, max_size=12),
-        contexts=st.tuples(st.integers(0, 4), st.integers(0, 4)),
-        max_tile_len=st.integers(1, 7),
+        systems=st.tuples(*[st.tuples(st.integers(0, 4), st.integers(1, 7))] * 2),
     )
-    def test_shared_counts_train_like_materialized_ids(self, train, picks, contexts,
-                                                       max_tile_len):
-        # two context sizes trained from one count vector, as the harness does
+    def test_shared_counts_train_like_materialized_ids(self, train, picks, systems):
+        # two (c, max_tile_len) settings trained from one count vector of one
+        # index at the longer tile length, as the harness does
         corpus = Corpus(tuple(_sentence(segments) for segments in train))
         ids = [pick % len(corpus) for pick in picks]
         view = Corpus(tuple(corpus.sentences[i] for i in ids))
-        index = MbslIndex(corpus, max_tile_len)
+        index = MbslIndex(corpus, max(length for _, length in systems))
         counts = index.counts(ids)
-        for c in contexts:
+        for c, max_tile_len in systems:
             cfg = MbslConfig(c, max_tile_len)
             model = mbsl_train_counts(index, counts, cfg)
             reference = mbsl_train(view, cfg)
             assert list(model.table.items()) == list(reference.table.items())
             assert model.index == reference.index
             assert model.max_np_len == reference.max_np_len
+
+    def test_index_shorter_than_config_is_an_error(self):
+        corpus = Corpus((sent(["DT", "NN", "VBD", "DT", "JJ", "NN"], [(0, 2), (3, 6)]),))
+        index = MbslIndex(corpus, 3)
+        with pytest.raises(ValueError, match="max_tile_len 4 exceeds the index's 3"):
+            mbsl_train_counts(index, index.counts([0]), MbslConfig(1, 4))
 
 
 def _window_counts(corpus, tile):

@@ -1,9 +1,12 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npchunk.corpus import ChunkSpan, Corpus, GenreGrammar, Sentence, generate_corpus
 from npchunk.evalstats import score_run
+from npchunk.harness import ConfigError, parse_system
 from npchunk.resample import PrngStream, derive_stream
 from npchunk.winnow import (
     BOS,
@@ -238,6 +241,13 @@ class TestTrainPredict:
             WinnowConfig(demotion=1.0)
         with pytest.raises(ValueError):
             WinnowConfig(epochs=0)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="promotion must be finite"):
+                WinnowConfig(promotion=value)
+            with pytest.raises(ValueError, match="threshold must be finite"):
+                WinnowConfig(threshold=value)
+        with pytest.raises(ConfigError, match=re.escape("system 'winnow:promotion=nan'")):
+            parse_system("winnow:alpha=nan")
 
 
 class TestDecoder:
