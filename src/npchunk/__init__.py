@@ -48,6 +48,7 @@ from .winnow import (
     WinnowNetwork,
     WinnowUnit,
     winnow_predict,
+    winnow_predict_corpus,
     winnow_train,
 )
 

@@ -360,15 +360,16 @@ class _Experiment:
         for spec, cfg in self.systems:
             if spec.kind == "mbsl":
                 model = mbsl.mbsl_train_counts(self.mbsl_index, counts, cfg)
-                predict = mbsl.mbsl_predict
             else:
                 rng = derive_stream(
                     self.config.master_seed, f"{purpose}:{spec.label}", resample_id
                 )
                 model = winnow.winnow_train_ids(self.winnow_index, ids, cfg, rng)
-                predict = winnow.winnow_predict
             for label, corpus in self.tests:
-                predictions = [predict(model, s) for s in corpus.sentences]
+                if spec.kind == "mbsl":
+                    predictions = [mbsl.mbsl_predict(model, s) for s in corpus.sentences]
+                else:
+                    predictions = winnow.winnow_predict_corpus(model, corpus.sentences)
                 results[(spec.label, label)] = evalstats.score_run(corpus, predictions)
         return results
 

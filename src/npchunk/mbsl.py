@@ -35,7 +35,12 @@ the candidate's score. Every tile carries a border, so each such tile covers
 token i or token j-1, and tiles on one side overlap each other. The best
 chain is thus one tile carrying both borders, or an opening-only tile
 overlapping a closing-only tile: the score is the best of these (the pair
-rule). Covered candidates are then selected greedily by score.
+rule). The pair rule reads only where a single-border tile's far end lies,
+and max_k min(a_k, b) = min(max_k a_k, b), so it keeps one best score per
+border and far end: {end: score} per opening i and {start: score} per
+closing j. It pairs opening i with the closings j in i+1..min(n, i +
+max_np_len), an opening-only tile ending by j with a closing-only tile
+starting in i..end-1. Covered candidates are then selected greedily by score.
 """
 
 from __future__ import annotations
@@ -291,31 +296,38 @@ def mbsl_predict(model: MbslModel, sentence: Sentence) -> list[ChunkSpan]:
 
     Each window is looked up once, and each tile placement filed under the
     border(s) it carries: both of (i, j), an opening at i or a closing at j.
+    A single-border placement keeps only the best score per far end.
     """
     tags = sentence.pos_tags
     length = len(tags)
     index = model.index
+    max_tile_len = model.config.max_tile_len
     best: dict[tuple[int, int], float] = {}  # (i, j) -> score
-    opening: dict[int, list[tuple[float, int]]] = defaultdict(list)  # i -> [(score, end)]
-    closing: dict[int, list[tuple[float, int]]] = defaultdict(list)  # j -> [(score, start)]
+    opening: dict[int, dict[int, float]] = defaultdict(dict)  # i -> {end: best score}
+    closing: dict[int, dict[int, float]] = defaultdict(dict)  # j -> {start: best score}
     for p in range(length):
-        for end in range(p + 1, min(length, p + model.config.max_tile_len) + 1):
+        for end in range(p + 1, min(length, p + max_tile_len) + 1):
             for score, open_at, close_at in index.get(tags[p:end], ()):
                 if open_at is None:
-                    closing[p + close_at].append((score, p))
+                    starts = closing[p + close_at]
+                    if score > starts.get(p, -1.0):
+                        starts[p] = score
                 elif close_at is None:
-                    opening[p + open_at].append((score, end))
+                    ends = opening[p + open_at]
+                    if score > ends.get(end, -1.0):
+                        ends[end] = score
                 elif score > best.get((p + open_at, p + close_at), -1.0):
                     best[(p + open_at, p + close_at)] = score
     # an opening tile inside (i, j) overlapping a closing tile inside (i, j)
-    for i, opens in opening.items():
-        for j, closes in closing.items():
-            if not i < j <= i + model.max_np_len:
+    for i, ends in opening.items():
+        for j in range(i + 1, min(length, i + model.max_np_len) + 1):
+            starts = closing.get(j)
+            if starts is None:
                 continue
-            for open_score, end in opens:
+            for end, open_score in ends.items():
                 if end > j:
                     continue
-                for close_score, start in closes:
+                for start, close_score in starts.items():
                     if i <= start < end:
                         score = min(open_score, close_score)
                         if score > best.get((i, j), -1.0):

@@ -19,6 +19,10 @@ pass over the rows with list weights, keeping each window's score until a
 mistake updates one of its features. The score is then summed again in the
 same feature order, so the weights are the ones a per-example
 dict-and-setdefault rule gives, to the bit.
+
+Prediction (winnow_predict_corpus) decides each distinct padded window once
+per call, for all the sentences it is given; the decisions are kept only for
+that call, so a network trained further is never read through stale ones.
 """
 
 from __future__ import annotations
@@ -64,17 +68,11 @@ def _features(window: tuple[str, str, str]) -> tuple[Feature, ...]:
     )
 
 
-def window_features(tags: tuple[str, ...]) -> tuple[tuple[Feature, ...], ...]:
-    """The 6 n-gram features of the padded 3-tag window around each position."""
-    padded = (BOS, *tags, EOS)
-    return tuple(_features(padded[i:i + 3]) for i in range(len(tags)))
-
-
 class WinnowIndex:
     """Feature windows interned once, so training runs over integer ids.
 
     features[f] is the feature with id f; windows[w] holds the feature ids
-    of window w, in window_features order; containing[f] holds the
+    of window w, in _features order; containing[f] holds the
     ids of the windows that contain feature f. Built from a corpus, rows[s]
     holds one (window id, is_begin, is_end) row per token of sentence s.
     """
@@ -242,8 +240,30 @@ def decode_spans(begin_decisions: Sequence[bool], end_decisions: Sequence[bool]
     return spans
 
 
+def winnow_predict_corpus(network: WinnowNetwork, sentences: Iterable[Sentence]
+                          ) -> list[list[ChunkSpan]]:
+    """The spans network predicts for each sentence, in order.
+
+    Each distinct padded 3-tag window is decided once per call; the memo
+    dies with the call, so it never outlives the weights it was read from.
+    """
+    begin_decide, end_decide = network.begin_unit.decide, network.end_unit.decide
+    decisions: dict = {}  # padded 3-tag window -> (begin, end)
+    predictions = []
+    for sentence in sentences:
+        padded = (BOS, *sentence.pos_tags, EOS)
+        begins, ends = [], []
+        for i in range(len(padded) - 2):
+            window = padded[i:i + 3]
+            decision = decisions.get(window)
+            if decision is None:
+                features = _features(window)
+                decision = decisions[window] = (begin_decide(features), end_decide(features))
+            begins.append(decision[0])
+            ends.append(decision[1])
+        predictions.append(decode_spans(begins, ends))
+    return predictions
+
+
 def winnow_predict(network: WinnowNetwork, sentence: Sentence) -> list[ChunkSpan]:
-    features = window_features(sentence.pos_tags)
-    begins = [network.begin_unit.decide(f) for f in features]
-    ends = [network.end_unit.decide(f) for f in features]
-    return decode_spans(begins, ends)
+    return winnow_predict_corpus(network, (sentence,))[0]

@@ -340,6 +340,13 @@ class TestPairRule:
     # tags, one more than the longest gold NP
     @example(train=[[(False, ["A"]), (True, ["A", "A", "A"])]], probes=[], c=3,
              max_tile_len=3, tile_threshold=0.0, min_positive_count=1)
+    # the pair rule keeps the best score per border and far end: keeping the
+    # first opening-only score per (i, end) fails the first example, and the
+    # first closing-only score per (j, start) the second
+    @example(train=[[(True, ["B"]), (True, ["B", "B"])]], probes=[], c=1,
+             max_tile_len=2, tile_threshold=0.0, min_positive_count=1)
+    @example(train=[[(False, ["A"]), (True, ["A"]), (True, ["A", "A", "B"])]], probes=[],
+             c=2, max_tile_len=2, tile_threshold=0.0, min_positive_count=1)
     @given(
         train=st.lists(_segments, min_size=1, max_size=8),
         probes=st.lists(st.lists(st.sampled_from("AB"), max_size=10), max_size=4),

@@ -14,9 +14,10 @@ from npchunk.winnow import (
     WinnowConfig,
     WinnowIndex,
     WinnowUnit,
+    _features,
     decode_spans,
-    window_features,
     winnow_predict,
+    winnow_predict_corpus,
     winnow_train,
     winnow_train_ids,
 )
@@ -33,6 +34,11 @@ def train(unit, examples):
     index = WinnowIndex()
     rows = [(index.window_id(features), label) for features, label in examples]
     return unit.train_rows(index, rows)
+
+
+def window_features(tags):
+    """The features of the padded 3-tag window around each position."""
+    return [_features((BOS, *tags, EOS)[i:i + 3]) for i in range(len(tags))]
 
 
 class TestFeatures:
@@ -193,6 +199,37 @@ class TestCachedScores:
         for network in (indexed, fresh):
             units = (network.begin_unit.weights, network.end_unit.weights)
             assert [_hex(u) for u in units] == [_hex(u) for u in expected]
+
+
+def _decoded(network, sentence):
+    """decode_spans over each position's decisions, window by window."""
+    windows = window_features(sentence.pos_tags)
+    return decode_spans([network.begin_unit.decide(f) for f in windows],
+                        [network.end_unit.decide(f) for f in windows])
+
+
+_CONFIGS = st.builds(WinnowConfig, st.floats(1.05, 3.0), st.floats(0.05, 0.95),
+                     st.floats(0.5, 8.0), st.integers(1, 3))
+
+
+class TestPredictCorpus:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        sentences=st.lists(_TOKENS, min_size=1, max_size=6),
+        probes=st.lists(st.lists(st.sampled_from("ABC"), max_size=7), max_size=6),
+        configs=st.tuples(_CONFIGS, _CONFIGS),
+        seeds=st.tuples(*[st.integers(0, 2**64 - 1)] * 2),
+    )
+    def test_equals_per_position_decisions(self, sentences, probes, configs, seeds):
+        # three tags, so the sentences share windows; empty ones are drawn too
+        corpus = Corpus(tuple(_sentence(tokens) for tokens in sentences))
+        test = list(corpus.sentences) + [sent(tags) for tags in probes]
+        for config, seed in zip(configs, seeds):
+            # two networks in turn: no decision may carry over from the other
+            network = winnow_train(corpus, config, PrngStream(seed))
+            expected = [_decoded(network, s) for s in test]
+            assert winnow_predict_corpus(network, test) == expected
+            assert [winnow_predict(network, s) for s in test] == expected
 
 
 class TestTrainPredict:
