@@ -26,7 +26,6 @@ from .evalstats import (
     RecallSamples,
     RunMetrics,
     compare_paired,
-    correlation_matrix,
     score_run,
     summarize,
 )

@@ -124,16 +124,3 @@ def compare_paired(a: RecallSamples, b: RecallSamples) -> PairedComparison:
     greater = sum(1 for x, y in zip(a.values, b.values) if x > y)
     ties = sum(1 for x, y in zip(a.values, b.values) if x == y)
     return PairedComparison(rho, greater / n, ties / n, sigma_diff)
-
-
-def correlation_matrix(samples: Sequence[RecallSamples]) -> list[list[float | None]]:
-    """Symmetric matrix of pairwise Pearson correlations; diagonal is 1."""
-    k = len(samples)
-    matrix: list[list[float | None]] = [[None] * k for _ in range(k)]
-    for i in range(k):
-        matrix[i][i] = 1.0
-        for j in range(i + 1, k):
-            rho = compare_paired(samples[i], samples[j]).rho
-            matrix[i][j] = rho
-            matrix[j][i] = rho
-    return matrix

@@ -289,13 +289,11 @@ def build_plans(config: ExperimentConfig, train: Corpus
 @dataclass
 class ExperimentReport:
     config_hash: str
-    method: str
     samples: dict[tuple[str, str], RecallSamples]
     summaries: dict[tuple[str, str], evalstats.DistributionSummary]
     e_full: dict[tuple[str, str], float]
     pairs: dict[tuple[str, str, str], PairedComparison]
     xcorr: dict[tuple[str, str, str], float | None]
-    plan_digests: tuple[str, ...]
 
 
 def _fmt(value) -> str:
@@ -444,20 +442,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     report = ExperimentReport(
         config_hash=config.config_hash(),
-        method=config.method_string(),
         samples=samples,
         summaries=summaries,
         e_full=e_full,
         pairs=pairs,
         xcorr=xcorr,
-        plan_digests=experiment.plan_digests,
     )
-    _write_report(config, report, experiment.tasks, run_metrics)
+    _write_report(experiment, report, run_metrics)
     return report
 
 
-def _write_report(config: ExperimentConfig, report: ExperimentReport, tasks,
-                  run_metrics) -> None:
+def _write_report(experiment: _Experiment, report: ExperimentReport, run_metrics) -> None:
+    config = experiment.config
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "samples").mkdir(exist_ok=True)
@@ -470,7 +466,7 @@ def _write_report(config: ExperimentConfig, report: ExperimentReport, tasks,
             for row in rows:
                 handle.write("\t".join(_fmt(v) for v in row) + "\n")
 
-    method = report.method
+    method = config.method_string()
     write(
         out_dir / "summary.tsv",
         "system\ttest\tmethod\tn\tmean\tstd\te_full",
@@ -508,7 +504,7 @@ def _write_report(config: ExperimentConfig, report: ExperimentReport, tasks,
         "resample_id\theld_out\tdigest\tplan",
         (
             (rid, held, digest, plan.to_line().replace("\t", " "))
-            for (rid, plan, held), digest in zip(tasks, report.plan_digests)
+            for (rid, plan, held), digest in zip(experiment.tasks, experiment.plan_digests)
         ),
     )
     write(
@@ -541,7 +537,8 @@ def replay_resample(config: ExperimentConfig, resample_id: int) -> list[tuple[st
     """Re-run one resample from its deterministic plan; returns run metrics.
 
     When the experiment's plans.tsv exists, its config-hash stamp and the
-    recorded plan digest are checked against this config's.
+    recorded plan digest are checked against this config's; a plans.tsv
+    without a row for resample_id raises ConfigError.
     """
     experiment = _Experiment(config)
     if not 0 <= resample_id < len(experiment.tasks):
@@ -557,15 +554,20 @@ def replay_resample(config: ExperimentConfig, resample_id: int) -> list[tuple[st
                 f"config hash mismatch: {plans_path} has {recorded!r}, "
                 f"this config gives {stamp!r}"
             )
+        found = False
         for line_no, line in enumerate(lines, start=1):
             if line.startswith("#") or line.startswith("resample_id"):
                 continue
             rid, _, recorded, _ = _row(f"{plans_path}:{line_no}", line, (int, str, str, str))
-            if rid == resample_id and recorded != digest:
-                raise ConfigError(
-                    f"plan digest mismatch for resample {resample_id}: "
-                    f"{digest} vs recorded {recorded}"
-                )
+            if rid == resample_id:
+                found = True
+                if recorded != digest:
+                    raise ConfigError(
+                        f"plan digest mismatch for resample {resample_id}: "
+                        f"{digest} vs recorded {recorded}"
+                    )
+        if not found:
+            raise ConfigError(f"{plans_path}: no row for resample {resample_id}")
     results = experiment.run_resample(experiment.tasks[resample_id])
     return [
         (system, test, metrics)
@@ -637,13 +639,14 @@ def stats_cmd(paths: Sequence[str | Path]) -> str:
         summary = evalstats.summarize(sample)
         rows.append(("summary", sample.label, summary.n, summary.mean, summary.std))
     compared = [s for s in samples if len(s.values) >= 2]  # all or none
+    matrix = [[1.0] * len(compared) for _ in compared]  # xcorr: each pair's rho off the diagonal
     for i, sample_a in enumerate(compared):
-        for sample_b in compared[i + 1:]:
-            c = evalstats.compare_paired(sample_a, sample_b)
-            rows.append(("pair", sample_a.label, sample_b.label,
+        for j in range(i + 1, len(compared)):
+            c = evalstats.compare_paired(sample_a, compared[j])
+            matrix[i][j] = matrix[j][i] = c.rho
+            rows.append(("pair", sample_a.label, compared[j].label,
                          c.rho, c.p_a_gt_b, c.p_tie, c.sigma_diff))
     if len(compared) >= 3:
-        matrix = evalstats.correlation_matrix(compared)
         for sample, row in zip(compared, matrix):
             rows.append(("xcorr", sample.label, *row))
     return "\n".join("\t".join(_fmt(v) for v in row) for row in rows) + "\n"

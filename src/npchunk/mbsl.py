@@ -18,8 +18,10 @@ the window yields the tiles
 The counts are linear in the sentence multiplicities m_s: a tile's
 pos(t) = sum_s m_s*pos_s(t), and pos+neg sums the same way. So an MbslIndex
 interns a training corpus's profile keys once and holds each sentence's
-profile as (key id, count) pairs. A resample sums those once into one count
-vector (MbslIndex.counts), shared by every context size and tile length.
+profile as (key id, count) pairs. The index is the only store of profiles:
+it lives in its experiment, and nothing persists from one experiment to the
+next. A resample sums those once into one count vector (MbslIndex.counts),
+shared by every context size and tile length.
 The profile at a shorter tile length L is the longer one's keys of at most
 L tags, with the same counts, so one index at the longest tile length
 serves them all. Per context size and tile length the index lists the
@@ -88,12 +90,14 @@ class MbslConfig:
 
 
 # perfbench/child.py sums the hits and misses of _sentence_tiles and _sentence_profiles,
-# and divides by them: MbslIndex reads its profiles through that cache for this reason.
-# Tiles are now read off the profiles, so the tile cache is gone and counts no calls.
+# and divides by them. _sentence_tiles is a stand-in that counts no calls, and the
+# lru_cache on _sentence_profiles stores nothing (maxsize=0): every call computes its
+# dict and counts one miss, and the dict dies once MbslIndex has interned it. The
+# decorator is only that call counter; it goes when child.py stops reading it.
 _sentence_tiles = SimpleNamespace(cache_info=lambda: SimpleNamespace(hits=0, misses=0))
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=0)
 def _sentence_profiles(tags: tuple[str, ...], spans: tuple[ChunkSpan, ...],
                        max_tile_len: int) -> dict:
     """Occurrence counts of every window, keyed by (seq, opens, closes).
@@ -173,10 +177,12 @@ class _TileMap(NamedTuple):
 class MbslIndex:
     """The window profiles of a training corpus, interned once.
 
-    keys[k] is a profile key (seq, opens, closes), and key_seq[k] the id
-    seqs gives its seq. pairs[s] holds sentence s's profile as flat
-    (key id, count) pairs, and max_np[s] its longest gold NP.
-    tile_map(c, max_tile_len) lists the tiles the keys yield at context
+    The index is the only store of these profiles: each sentence's profile
+    dict is computed, interned and dropped, and nothing is kept between
+    experiments. keys[k] is a profile key (seq, opens, closes), and
+    key_seq[k] the id seqs gives its seq. pairs[s] holds sentence s's
+    profile as flat (key id, count) pairs, and max_np[s] its longest gold
+    NP. tile_map(c, max_tile_len) lists the tiles the keys yield at context
     size c and that tile length, built on first use.
     """
 

@@ -8,7 +8,6 @@ from npchunk.corpus import ChunkSpan, Corpus, Sentence
 from npchunk.evalstats import (
     RecallSamples,
     compare_paired,
-    correlation_matrix,
     score_run,
     summarize,
 )
@@ -226,30 +225,3 @@ class TestComparePairedProperties:
         ab, ba = compare_paired(a, b), compare_paired(b, a)
         assert ab.rho == ba.rho
         assert ab.sigma_diff == pytest.approx(ba.sigma_diff, rel=1e-12, abs=1e-15)
-
-
-class TestCorrelationMatrix:
-    def test_identical_vectors(self):
-        s = RecallSamples("a", (0.1, 0.5, 0.9))
-        matrix = correlation_matrix([s, RecallSamples("b", s.values)])
-        assert matrix[0][1] == pytest.approx(1.0)
-        assert matrix[0][0] == 1.0
-
-    def test_antithetic_vectors(self):
-        a = RecallSamples("a", (0.1, 0.5, 0.9))
-        b = RecallSamples("b", tuple(1.0 - v for v in a.values))
-        matrix = correlation_matrix([a, b])
-        assert matrix[0][1] == pytest.approx(-1.0)
-
-    def test_independent_vectors_near_zero(self):
-        rng = PrngStream(31)
-        samples = [
-            RecallSamples(f"s{i}", tuple(rng.next_float() for _ in range(200)))
-            for i in range(3)
-        ]
-        matrix = correlation_matrix(samples)
-        for i in range(3):
-            for j in range(3):
-                assert matrix[i][j] == matrix[j][i]
-                if i != j:
-                    assert abs(matrix[i][j]) < 0.15

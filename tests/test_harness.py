@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from npchunk import cli, harness
+from npchunk import cli, harness, mbsl
 from npchunk.corpus import GenreGrammar, generate_corpus, read_corpus, write_corpus
 from npchunk.harness import (
     ConfigError,
@@ -24,7 +24,7 @@ from npchunk.harness import (
     run_experiment,
     stats_cmd,
 )
-from npchunk.resample import derive_stream
+from npchunk.resample import PrngStream, derive_stream
 
 TOY = GenreGrammar(
     "toy",
@@ -383,6 +383,18 @@ class TestRunExperiment:
         run_experiment(config)
         assert (tmp_path / "out" / "runs.tsv").read_bytes() == first
 
+    def test_no_profile_outlives_its_index(self, corpora, tmp_path):
+        run_experiment(make_config(corpora, tmp_path / "out", b=2))
+        assert mbsl._sentence_profiles.cache_info().currsize == 0
+        # a second index over the same corpus recomputes every profile
+        train = read_corpus(corpora["train"])
+        for _ in range(2):
+            before = mbsl._sentence_profiles.cache_info()
+            mbsl.MbslIndex(train, 6)
+            after = mbsl._sentence_profiles.cache_info()
+            assert after.misses - before.misses == len(train)
+            assert after.hits == before.hits
+
 
 class TestReplay:
     def test_replay_matches_run(self, corpora, tmp_path):
@@ -414,6 +426,17 @@ class TestReplay:
         plans.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match="digest mismatch"):
             replay_resample(config, 0)
+
+    def test_plans_without_the_row_detected(self, corpora, tmp_path):
+        config = make_config(corpora, tmp_path / "out", b=2)
+        run_experiment(config)
+        plans = tmp_path / "out" / "plans.tsv"
+        lines = plans.read_text().splitlines()
+        plans.write_text("\n".join(lines[:3]) + "\n")  # stamp, header, resample 0
+        with pytest.raises(ConfigError,
+                           match=f"^{re.escape(str(plans))}: no row for resample 1$"):
+            replay_resample(config, 1)
+        replay_resample(config, 0)
 
 
     @pytest.mark.parametrize("field, value", [(0, "x"), (3, None)],
@@ -477,6 +500,13 @@ class TestGenAndStats:
         lines += [f"{i}\t{v:.6f}" for i, v in enumerate(values)]
         path.write_text("\n".join(lines) + "\n")
 
+    def _write_samples(self, tmp_path, samples):
+        """One sample file per values list, s0.tsv, s1.tsv, ...; their paths."""
+        paths = [tmp_path / f"s{i}.tsv" for i in range(len(samples))]
+        for path, values in zip(paths, samples):
+            self._write_sample(path, values)
+        return paths
+
     def test_stats_single_file(self, tmp_path):
         path = tmp_path / "s.tsv"
         self._write_sample(path, [0.2, 0.4, 0.6])
@@ -496,13 +526,36 @@ class TestGenAndStats:
         assert lines[2].split("\t")[3] == "1.000000"  # rho
 
     def test_stats_three_files_adds_matrix(self, tmp_path):
-        paths = []
-        for i, values in enumerate(([0.1, 0.2], [0.2, 0.1], [0.3, 0.5])):
-            path = tmp_path / f"s{i}.tsv"
-            self._write_sample(path, values)
-            paths.append(path)
+        paths = self._write_samples(tmp_path, [[0.1, 0.2], [0.2, 0.1], [0.3, 0.5]])
         kinds = [line.split("\t")[0] for line in stats_cmd(paths).splitlines()]
         assert kinds == ["summary"] * 3 + ["pair"] * 3 + ["xcorr"] * 3
+
+    def _xcorr(self, tmp_path, samples):
+        """The cells of the xcorr rows stats prints for these samples."""
+        paths = self._write_samples(tmp_path, samples)
+        return [line.split("\t")[2:] for line in stats_cmd(paths).splitlines()
+                if line.startswith("xcorr\t")]
+
+    def test_xcorr_identical_vectors(self, tmp_path):
+        values = [0.1, 0.5, 0.9]
+        matrix = self._xcorr(tmp_path, [values, values, [0.3, 0.1, 0.2]])
+        assert float(matrix[0][1]) == pytest.approx(1.0)
+        assert matrix[0][0] == "1.000000"
+
+    def test_xcorr_antithetic_vectors(self, tmp_path):
+        values = [0.1, 0.5, 0.9]
+        matrix = self._xcorr(tmp_path, [values, [1.0 - v for v in values], [0.3, 0.1, 0.2]])
+        assert float(matrix[0][1]) == pytest.approx(-1.0)
+
+    def test_xcorr_independent_vectors_near_zero(self, tmp_path):
+        rng = PrngStream(31)
+        matrix = self._xcorr(tmp_path, [[rng.next_float() for _ in range(200)]
+                                        for _ in range(3)])
+        for i in range(3):
+            for j in range(3):
+                assert matrix[i][j] == matrix[j][i]
+                if i != j:
+                    assert abs(float(matrix[i][j])) < 0.15
 
     @pytest.mark.parametrize("bad, message", [
         ("1 0.6", "expected 2 tab-separated fields"),
@@ -531,11 +584,7 @@ class TestGenAndStats:
 
     def test_stats_one_value_files_print_summaries_only(self, tmp_path):
         # a B=1 run writes such files; pairs and correlations need 2 values
-        paths = []
-        for i, value in enumerate((0.2, 0.4, 0.6)):
-            path = tmp_path / f"s{i}.tsv"
-            self._write_sample(path, [value])
-            paths.append(path)
+        paths = self._write_samples(tmp_path, [[0.2], [0.4], [0.6]])
         for n_files in (2, 3):
             lines = stats_cmd(paths[:n_files]).splitlines()
             assert len(lines) == n_files
