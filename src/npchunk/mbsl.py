@@ -17,15 +17,19 @@ the window yields the tiles
 
 The counts are linear in the sentence multiplicities m_s: a tile's
 pos(t) = sum_s m_s*pos_s(t), and pos+neg sums the same way. So an MbslIndex
-interns a training corpus's profile keys once and holds each sentence's
-profile as (key id, count) pairs. The index is the only store of profiles:
-it lives in its experiment, and nothing persists from one experiment to the
-next. A resample sums those once into one count vector (MbslIndex.counts),
-shared by every context size and tile length.
+interns a training corpus's profile keys once, through a trie whose edges
+extend a window by one tag and its border marks, and holds each sentence's
+profile P_s as (key id, count) pairs, and F = sum_s P_s. The index is the
+only store of profiles: it lives in its experiment, and nothing persists
+from one experiment to the next. A resample's count vector
+(MbslIndex.counts) is F + sum_{m_s != 1} (m_s - 1)*P_s, which reads only
+the sentences the resample leaves out or repeats, and it is shared by every
+context size and tile length.
 The profile at a shorter tile length L is the longer one's keys of at most
 L tags, with the same counts, so one index at the longest tile length
 serves them all. Per context size and tile length the index lists the
-tiles once, sorted, and each key's positive and yielded tile ids; training
+tiles once, sorted, and each key's positive and yielded tile ids, running
+the tile rule once per border layout (length, opens, closes); training
 (mbsl_train_counts) pushes the counts to tile ids and keeps the tiles some
 counted key yields.
 
@@ -51,7 +55,7 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import product
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple
 
@@ -90,40 +94,26 @@ class MbslConfig:
 
 
 # perfbench/child.py sums the hits and misses of _sentence_tiles and _sentence_profiles,
-# and divides by them. _sentence_tiles is a stand-in that counts no calls, and the
-# lru_cache on _sentence_profiles stores nothing (maxsize=0): every call computes its
-# dict and counts one miss, and the dict dies once MbslIndex has interned it. The
-# decorator is only that call counter; it goes when child.py stops reading it.
+# and divides by them. _sentence_tiles is a stand-in that counts no calls. The
+# lru_cache on _sentence_profiles stores nothing (maxsize=0): MbslIndex calls it once
+# per indexed sentence, and each call counts one miss. The decorator is only that
+# call counter; it goes when child.py stops reading it.
 _sentence_tiles = SimpleNamespace(cache_info=lambda: SimpleNamespace(hits=0, misses=0))
 
 
 @lru_cache(maxsize=0)
-def _sentence_profiles(tags: tuple[str, ...], spans: tuple[ChunkSpan, ...],
-                       max_tile_len: int) -> dict:
-    """Occurrence counts of every window, keyed by (seq, opens, closes).
+def _sentence_profiles(tags: tuple[str, ...],
+                       spans: tuple[ChunkSpan, ...]) -> list[tuple[str, bool, bool]]:
+    """(tag, a chunk opens before it, a chunk closes after it) per token.
 
-    opens/closes describe where gold borders fall inside the window. Tiles
-    are read off the keys (_window_tiles), and tile counts are sums over the
-    profiles: occurrences whose border layout includes the tile's marks are
-    positive, all other occurrences of the same POS sequence are negative.
+    These are the steps MbslIndex walks its key trie by: a window's profile
+    key (seq, opens, closes) is its first tag's step, then each next tag's.
     """
-    length = len(tags)
-    opening = [False] * length  # a chunk opens before tag i
-    closing = [False] * length  # a chunk closes after tag i
+    opening = [False] * len(tags)
+    closing = [False] * len(tags)
     for start, end in spans:
         opening[start] = closing[end - 1] = True
-    profiles: dict = {}
-    for p in range(length):
-        opens: tuple[int, ...] = ()
-        closes: tuple[int, ...] = ()
-        for m in range(min(max_tile_len, length - p)):
-            if opening[p + m]:
-                opens += (m,)
-            if closing[p + m]:
-                closes += (m,)
-            key = (tags[p:p + m + 1], opens, closes)
-            profiles[key] = profiles.get(key, 0) + 1
-    return profiles
+    return list(zip(tags, opening, closing))
 
 
 @dataclass
@@ -177,71 +167,162 @@ class _TileMap(NamedTuple):
 class MbslIndex:
     """The window profiles of a training corpus, interned once.
 
-    The index is the only store of these profiles: each sentence's profile
-    dict is computed, interned and dropped, and nothing is kept between
-    experiments. keys[k] is a profile key (seq, opens, closes), and
-    key_seq[k] the id seqs gives its seq. pairs[s] holds sentence s's
-    profile as flat (key id, count) pairs, and max_np[s] its longest gold
-    NP. tile_map(c, max_tile_len) lists the tiles the keys yield at context
-    size c and that tile length, built on first use.
+    The profile keys form a trie: a window's key is the key of the window
+    one tag shorter at the same start, extended by one step (tag, a chunk
+    opens before it, a chunk closes after it). Each window is one edge
+    lookup, a new key one new edge, so keys get ids in order of first
+    occurrence; seq ids come the same way from (parent seq id, tag) edges.
+    The edges live only while the index is built.
+
+    keys[k] is a profile key (seq, opens, closes), key_seq[k] the id of its
+    seq, seqs[i] the seq of id i, and seq_order the seq ids sorted by seq
+    (seq_rank[i] is i's place in it). pairs[s] holds sentence s's profile as
+    flat (key id, count) pairs, max_np[s] its longest gold NP, and full the
+    profile counts of every sentence once, from which counts(ids) starts.
+    The index is the only store of these profiles, and nothing is kept
+    between experiments. tile_map(c, max_tile_len) lists the tiles the keys
+    yield at context size c and that tile length, built on first use.
     """
 
     def __init__(self, corpus: Corpus, max_tile_len: int):
         self.max_tile_len = max_tile_len
+        self.max_np = [max((end - start for start, end in sentence.gold_spans), default=0)
+                       for sentence in corpus.sentences]
+        step_ids: dict[tuple[str, bool, bool], int] = {}
+        walks = [
+            [step_ids.setdefault(step, len(step_ids))
+             for step in _sentence_profiles(sentence.pos_tags, sentence.gold_spans)]
+            for sentence in corpus.sentences
+        ]
+        steps = list(step_ids)
+        width = len(steps)
+        edges: dict[int, int] = {}  # (parent key id + 1) * width + step id -> key id
+        parent: list[int] = []  # key id -> parent key id, -1 at the root
+        key_step: list[int] = []  # key id -> step id
+        full: list[int] = []
         self.pairs: list[array] = []
-        self.max_np: list[int] = []
-        key_ids: dict = {}
-        for sentence in corpus.sentences:
-            profile = _sentence_profiles(sentence.pos_tags, sentence.gold_spans, max_tile_len)
-            ids = [key_ids.setdefault(key, len(key_ids)) for key in profile]
-            self.pairs.append(array("i", chain.from_iterable(zip(ids, profile.values()))))
-            self.max_np.append(max((end - start for start, end in sentence.gold_spans),
-                                   default=0))
-        self.keys: list[tuple] = list(key_ids)
-        self.seqs: dict[tuple[str, ...], int] = {}
-        self.key_seq = [self.seqs.setdefault(seq, len(self.seqs)) for seq, _, _ in self.keys]
+        for walk in walks:
+            profile: dict[int, int] = {}
+            for p in range(len(walk)):
+                up = -1
+                for step in walk[p:p + max_tile_len]:
+                    edge = (up + 1) * width + step
+                    k = edges.get(edge)
+                    if k is None:
+                        k = edges[edge] = len(parent)
+                        parent.append(up)
+                        key_step.append(step)
+                        full.append(0)
+                    profile[k] = profile.get(k, 0) + 1
+                    full[k] += 1
+                    up = k
+            pairs = [0] * (2 * len(profile))
+            pairs[::2] = profile
+            pairs[1::2] = profile.values()
+            self.pairs.append(array("i", pairs))
+        del edges
+        self.full = full
+        # seq ids by a second trie over (parent seq id, tag), in key order
+        seq_ids: dict[tuple[int, str], int] = {}
+        self.seqs: list[tuple[str, ...]] = []
+        self.key_seq: list[int] = []
+        self.keys: list[tuple] = []
+        for up, step in zip(parent, key_step):
+            tag, opens_here, closes_here = steps[step]
+            if up < 0:
+                up_seq, seq, opens, closes = -1, (), (), ()
+            else:
+                up_seq = self.key_seq[up]
+                seq, opens, closes = self.keys[up]
+            s = seq_ids.setdefault((up_seq, tag), len(seq_ids))
+            if s == len(self.seqs):
+                self.seqs.append(seq + (tag,))
+            at = len(seq)
+            self.key_seq.append(s)
+            self.keys.append((self.seqs[s], opens + (at,) if opens_here else opens,
+                              closes + (at,) if closes_here else closes))
+        self.seq_order = sorted(range(len(self.seqs)), key=self.seqs.__getitem__)
+        self.seq_rank = [0] * len(self.seqs)  # seq id -> its seq's place in sorted order
+        for r, s in enumerate(self.seq_order):
+            self.seq_rank[s] = r
         self._tile_maps: dict[tuple[int, int], _TileMap] = {}
 
     def counts(self, ids: Iterable[int]) -> ProfileCounts:
-        """The profile counts of the sentences ids, each as often as it occurs."""
-        by_key = [0] * len(self.keys)
-        max_np_len = 0
-        for s, mult in Counter(ids).items():
-            pairs = iter(self.pairs[s])
-            for k, count in zip(pairs, pairs):
-                by_key[k] += count * mult
-            max_np_len = max(max_np_len, self.max_np[s])
-        return ProfileCounts(by_key, max_np_len)
+        """The profile counts of the sentences ids, each as often as it occurs.
+
+        That is full plus (m_s - 1) times each sentence's profile whose
+        multiplicity m_s is not 1, so a view touches only the sentences it
+        leaves out or repeats.
+        """
+        mult = Counter(ids)
+        by_key = self.full.copy()
+        for s, pairs in enumerate(self.pairs):
+            extra = mult.get(s, 0) - 1
+            if extra:
+                it = iter(pairs)
+                for k, count in zip(it, it):
+                    by_key[k] += count * extra
+        return ProfileCounts(by_key, max((self.max_np[s] for s in mult), default=0))
 
     def tile_map(self, c: int, max_tile_len: int) -> _TileMap:
         """The tiles every key yields at context size c and tile length
         max_tile_len, with each key's positive and yielded tile ids; built
         once per (c, max_tile_len). A key longer than max_tile_len yields no
-        tile, so no tile has its seq and it is positive for none."""
+        tile, so no tile has its seq and it is positive for none.
+
+        _window_tiles reads only a key's border layout (length, opens,
+        closes), so the rule runs once per layout, and so does the choice of
+        the marks a key is positive for: a tile's one opening and one
+        closing mark, each absent or among the key's. A tile is coded as
+        (rank of its seq) * len(marks) + (rank of its marks): sorting the
+        codes sorts the tiles by (seq, opens, closes), as sorting the Tiles
+        themselves does.
+        """
         tile_map = self._tile_maps.get((c, max_tile_len))
         if tile_map is None:
-            yielded = [
-                _window_tiles(seq, opens, closes, c) if len(seq) <= max_tile_len else []
-                for seq, opens, closes in self.keys
-            ]
-            tiles = sorted(set(chain.from_iterable(yielded)))
-            ids = {tile: t for t, tile in enumerate(tiles)}
-            by_seq: dict[tuple[str, ...], list[int]] = defaultdict(list)
-            for t, tile in enumerate(tiles):
-                by_seq[tile.seq].append(t)
+            single = [()] + [(m,) for m in range(max_tile_len)]
+            marks = list(product(single, single))  # (tile opens, tile closes), sorted
+            mark_rank = {mark: r for r, mark in enumerate(marks)}
+            width = len(marks)
+            rules: dict[tuple, tuple[list[int], list[int]]] = {}  # layout -> mark ranks
+            # key id -> (rank of its seq * width, its layout's rule); -1 if it is too long
+            key_rules = []
+            codes: set[int] = set()
+            for (seq, opens, closes), s in zip(self.keys, self.key_seq):
+                if len(seq) > max_tile_len:
+                    key_rules.append((-1, None))
+                    continue
+                layout = (len(seq), opens, closes)
+                rule = rules.get(layout)
+                if rule is None:
+                    rule = rules[layout] = (
+                        [mark_rank[tile[1:]] for tile in _window_tiles(seq, opens, closes, c)],
+                        [r for r, (o, m) in enumerate(marks) if (o or m)
+                         and (not o or o[0] in opens) and (not m or m[0] in closes)],
+                    )
+                base = self.seq_rank[s] * width
+                key_rules.append((base, rule))
+                codes.update([base + r for r in rule[0]])
+            order = sorted(codes)
+            ids = {code: t for t, code in enumerate(order)}
+            tiled = {code - code % width for code in order}  # bases of the seqs with tiles
+            tile_seq = [self.seq_order[code // width] for code in order]
             positive = []
-            for seq, opens, closes in self.keys:
-                # a key is positive for a tile of its seq whose marks it all carries
-                positive.append(tuple(
-                    t for t in by_seq.get(seq, ())
-                    if set(tiles[t].opens).issubset(opens)
-                    and set(tiles[t].closes).issubset(closes)
-                ))
+            yields = []
+            for base, rule in key_rules:
+                if base not in tiled:
+                    positive.append(())
+                    yields.append(())
+                    continue
+                yielded, carried = rule
+                yields.append(tuple([ids[base + r] for r in yielded]))
+                positive.append(tuple([t for t in map(ids.get, [base + r for r in carried])
+                                       if t is not None]))
             tile_map = self._tile_maps[(c, max_tile_len)] = _TileMap(
-                tiles,
-                [self.seqs[tile.seq] for tile in tiles],
+                [Tile(self.seqs[s], *marks[code % width]) for s, code in zip(tile_seq, order)],
+                tile_seq,
                 positive,
-                [tuple(ids[tile] for tile in key_tiles) for key_tiles in yielded],
+                yields,
             )
         return tile_map
 

@@ -1,5 +1,6 @@
 import pytest
 from collections import Counter
+from itertools import chain
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from npchunk.mbsl import (
     MbslConfig,
     MbslIndex,
     Tile,
-    _sentence_profiles,
+    _window_tiles,
     mbsl_predict,
     mbsl_train,
     mbsl_train_counts,
@@ -211,23 +212,96 @@ class TestTileRule:
         assert model.index == reference.index
         assert model.max_np_len == reference.max_np_len
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        train=st.lists(_segments, min_size=1, max_size=6),
+        c=st.integers(0, 4),
+        index_len=st.integers(1, 7),
+        shorter_by=st.integers(0, 6),
+    )
+    def test_tile_map_equals_per_key_reference(self, train, c, index_len, shorter_by):
+        # each key's tiles straight from _window_tiles, the tiles sorted as
+        # Tiles, and positive by subset tests of the marks
+        corpus = Corpus(tuple(_sentence(segments) for segments in train))
+        index = MbslIndex(corpus, index_len)
+        max_tile_len = max(1, index_len - shorter_by)
+        assert len(set(index.seqs)) == len(index.seqs)
+        assert [index.seqs[s] for s in index.key_seq] == [seq for seq, _, _ in index.keys]
+        yielded = [
+            _window_tiles(seq, opens, closes, c) if len(seq) <= max_tile_len else []
+            for seq, opens, closes in index.keys
+        ]
+        tiles = sorted(set(chain.from_iterable(yielded)))
+        ids = {tile: t for t, tile in enumerate(tiles)}
+        tile_map = index.tile_map(c, max_tile_len)
+        assert tile_map.tiles == tiles
+        assert tile_map.tile_seq == [index.seqs.index(tile.seq) for tile in tiles]
+        assert tile_map.positive == [
+            tuple(t for t, tile in enumerate(tiles) if tile.seq == seq
+                  and set(tile.opens).issubset(opens) and set(tile.closes).issubset(closes))
+            for seq, opens, closes in index.keys
+        ]
+        assert tile_map.yields == [tuple(ids[tile] for tile in key_tiles)
+                                   for key_tiles in yielded]
+
+
+def _brute_profile(sentence, max_tile_len):
+    """Every window of at most max_tile_len tags, keyed by (seq, opens, closes)
+    and counted, in order of first occurrence."""
+    tags, length = sentence.pos_tags, len(sentence)
+    starts = {start for start, _ in sentence.gold_spans}
+    ends = {end for _, end in sentence.gold_spans}
+    profile = Counter()
+    for p in range(length):
+        for l in range(1, min(max_tile_len, length - p) + 1):
+            opens = tuple(m for m in range(l) if p + m in starts)
+            closes = tuple(m for m in range(l) if p + m + 1 in ends)
+            profile[(tags[p:p + l], opens, closes)] += 1
+    return profile
+
 
 class TestProfileIndex:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(segments=_segments, max_tile_len=st.integers(1, 7))
     def test_profiles_equal_brute_force(self, segments, max_tile_len):
         sentence = _sentence(segments)
-        tags, length = sentence.pos_tags, len(sentence)
-        starts = {start for start, _ in sentence.gold_spans}
-        ends = {end for _, end in sentence.gold_spans}
+        index = MbslIndex(Corpus((sentence,)), max_tile_len)
+        pairs = iter(index.pairs[0])
+        assert [(index.keys[k], n) for k, n in zip(pairs, pairs)] == \
+            list(_brute_profile(sentence, max_tile_len).items())
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    # the longest NP lies in the sentence left out
+    @example(train=[[(True, ["A"])], [(True, ["A", "B", "A"])]], max_tile_len=3,
+             shape="drawn", picks=[0, 0], k=2, fold=0)
+    @given(
+        train=st.lists(_segments, min_size=1, max_size=6),
+        max_tile_len=st.integers(1, 7),
+        shape=st.sampled_from(("drawn", "all", "complement")),
+        picks=st.lists(st.integers(0, 5), max_size=12),
+        k=st.integers(2, 5),
+        fold=st.integers(0, 4),
+    )
+    def test_counts_equal_brute_force_sums(self, train, max_tile_len, shape, picks, k, fold):
+        # ids as resamples give them: drawn with repeats and absences, every
+        # sentence once, or all but one fold of a CV-style split
+        corpus = Corpus(tuple(_sentence(segments) for segments in train))
+        n = len(corpus)
+        ids = {
+            "drawn": [pick % n for pick in picks],
+            "all": range(n),
+            "complement": [i for i in range(n) if i % k != fold % k],
+        }[shape]
+        index = MbslIndex(corpus, max_tile_len)
         expected = Counter()
-        for p in range(length):
-            for l in range(1, min(max_tile_len, length - p) + 1):
-                opens = tuple(m for m in range(l) if p + m in starts)
-                closes = tuple(m for m in range(l) if p + m + 1 in ends)
-                expected[(tags[p:p + l], opens, closes)] += 1
-        profiles = _sentence_profiles.__wrapped__(tags, sentence.gold_spans, max_tile_len)
-        assert list(profiles.items()) == list(expected.items())
+        for i in ids:
+            expected.update(_brute_profile(corpus.sentences[i], max_tile_len))
+        counts = index.counts(ids)
+        assert counts.by_key == [expected[key] for key in index.keys]
+        assert counts.max_np_len == max(
+            (end - start for i in ids for start, end in corpus.sentences[i].gold_spans),
+            default=0,
+        )
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
