@@ -5,12 +5,17 @@ ids of every resample (pairing by resample_id is thereby guaranteed), evaluates
 each trained model on every test corpus, and aggregates recall
 distributions. Output is a set of TSV files; given a fixed config (seed
 included) they are byte-identical across runs and across worker counts.
+
+The training corpus is indexed and every test corpus interned once per
+experiment, before any worker starts. A run makes no reference cycles, so
+run_experiment keeps the cyclic garbage collector off while it runs.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import gc
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
@@ -305,8 +310,8 @@ def _fmt(value) -> str:
 
 
 class _Experiment:
-    """One config's corpora, resolved systems, training indexes, resampling
-    tasks and plan digests.
+    """One config's corpora, resolved systems, training indexes, interned
+    test corpora, resampling tasks and plan digests.
 
     `run` and `replay` each build one; every resample, and the full-corpus
     training behind e_full, goes through run_resample.
@@ -335,6 +340,17 @@ class _Experiment:
             winnow.WinnowIndex(self.train)
             if any(spec.kind == "winnow" for spec in config.systems) else None
         )
+        # every test corpus interned once, for every trained model, per learner
+        self.interned: dict[str, tuple] = {}
+        if self.mbsl_index is not None:
+            self.interned["mbsl"] = tuple(
+                [self.mbsl_index.intern(s.pos_tags) for s in corpus.sentences]
+                for _, corpus in self.tests
+            )
+        if self.winnow_index is not None:
+            self.interned["winnow"] = tuple(
+                winnow.intern_windows(corpus.sentences) for _, corpus in self.tests
+            )
         self.plan_digests = tuple(
             f"{fnv1a64(plan.to_line() + (f'/{held}' if held is not None else '')):016x}"
             for _, plan, held in self.tasks
@@ -363,11 +379,11 @@ class _Experiment:
                     self.config.master_seed, f"{purpose}:{spec.label}", resample_id
                 )
                 model = winnow.winnow_train_ids(self.winnow_index, ids, cfg, rng)
-            for label, corpus in self.tests:
+            for (label, corpus), interned in zip(self.tests, self.interned[spec.kind]):
                 if spec.kind == "mbsl":
-                    predictions = [mbsl.mbsl_predict(model, s) for s in corpus.sentences]
+                    predictions = [mbsl.mbsl_predict_interned(model, s) for s in interned]
                 else:
-                    predictions = winnow.winnow_predict_corpus(model, corpus.sentences)
+                    predictions = winnow.winnow_predict_interned(model, interned)
                 results[(spec.label, label)] = evalstats.score_run(corpus, predictions)
         return results
 
@@ -393,6 +409,7 @@ _worker_experiment: _Experiment | None = None
 def _init_worker(experiment: _Experiment) -> None:
     global _worker_experiment
     _worker_experiment = experiment
+    gc.disable()  # as in run_experiment; a forked worker inherits that, others do not
 
 
 def _run_in_worker(task) -> dict[tuple[str, str], RunMetrics]:
@@ -400,6 +417,22 @@ def _run_in_worker(task) -> dict[tuple[str, str], RunMetrics]:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Run config's experiment and write its report.
+
+    The cyclic garbage collector is off for the run and restored afterwards,
+    as timeit does: a run makes no reference cycles, so the collector's
+    passes would only walk the heap the run builds.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_experiment(config)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run_experiment(config: ExperimentConfig) -> ExperimentReport:
     experiment = _Experiment(config)
     # full-training point estimate E(.), first: pool workers get the MBSL tile
     # maps it builds, inherited by fork or pickled with the experiment

@@ -47,6 +47,18 @@ border and far end: {end: score} per opening i and {start: score} per
 closing j. It pairs opening i with the closings j in i+1..min(n, i +
 max_np_len), an opening-only tile ending by j with a closing-only tile
 starting in i..end-1. Covered candidates are then selected greedily by score.
+
+Prediction reads a sentence interned by the model's index (MbslIndex.intern):
+for each start position, the id of the longest seq (a window's tags) of the
+index that starts there. A window the index lacks has no tiles, nor has any
+longer window at its start, since seqs are prefix-closed, so the walk that
+interns a start stops there. The model's index is a list by seq id, so
+prediction reads a window's tiles by id and reaches the shorter windows at
+a start through seq_parent, with no slicing or tuple hashing. An experiment
+interns each test corpus once for all its trainings; mbsl_predict interns
+the one sentence it is given. Nothing here makes a reference cycle, which
+lets run_experiment keep the cyclic garbage collector off: its passes would
+only walk these indexes and models.
 """
 
 from __future__ import annotations
@@ -57,7 +69,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from types import SimpleNamespace
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import ChunkSpan, Corpus, Sentence
 
@@ -121,9 +133,11 @@ class MbslModel:
     config: MbslConfig
     table: dict[Tile, tuple[int, int]]  # tile -> (pos_count, neg_count)
     max_np_len: int
-    # POS sequence -> [(score, open, close)] for the tiles that pass the filters;
-    # open/close are border positions from the tile start, None if not carried
-    index: dict[tuple[str, ...], list[tuple[float, int | None, int | None]]]
+    # seq id of source -> [(score, open, close)] for the tiles of that seq that
+    # pass the filters, or None; open/close are border positions from the tile
+    # start, None if not carried
+    index: list[list[tuple[float, int | None, int | None]] | None]
+    source: MbslIndex  # the index trained from, whose seq ids key index
 
 
 def _window_tiles(seq: tuple[str, ...], opens: tuple[int, ...],
@@ -172,10 +186,12 @@ class MbslIndex:
     opens before it, a chunk closes after it). Each window is one edge
     lookup, a new key one new edge, so keys get ids in order of first
     occurrence; seq ids come the same way from (parent seq id, tag) edges.
-    The edges live only while the index is built.
+    The key edges live only while the index is built; the seq edges stay, as
+    seq_ids, so that intern can map test windows to seq ids.
 
     keys[k] is a profile key (seq, opens, closes), key_seq[k] the id of its
-    seq, seqs[i] the seq of id i, and seq_order the seq ids sorted by seq
+    seq, seqs[i] the seq of id i, seq_parent[i] the id of seqs[i][:-1] (-1
+    for a one-tag seq), and seq_order the seq ids sorted by seq
     (seq_rank[i] is i's place in it). pairs[s] holds sentence s's profile as
     flat (key id, count) pairs, max_np[s] its longest gold NP, and full the
     profile counts of every sentence once, from which counts(ids) starts.
@@ -223,8 +239,9 @@ class MbslIndex:
         del edges
         self.full = full
         # seq ids by a second trie over (parent seq id, tag), in key order
-        seq_ids: dict[tuple[int, str], int] = {}
+        self.seq_ids: dict[tuple[int, str], int] = {}
         self.seqs: list[tuple[str, ...]] = []
+        self.seq_parent: list[int] = []
         self.key_seq: list[int] = []
         self.keys: list[tuple] = []
         for up, step in zip(parent, key_step):
@@ -234,9 +251,10 @@ class MbslIndex:
             else:
                 up_seq = self.key_seq[up]
                 seq, opens, closes = self.keys[up]
-            s = seq_ids.setdefault((up_seq, tag), len(seq_ids))
+            s = self.seq_ids.setdefault((up_seq, tag), len(self.seqs))
             if s == len(self.seqs):
                 self.seqs.append(seq + (tag,))
+                self.seq_parent.append(up_seq)
             at = len(seq)
             self.key_seq.append(s)
             self.keys.append((self.seqs[s], opens + (at,) if opens_here else opens,
@@ -263,6 +281,26 @@ class MbslIndex:
                 for k, count in zip(it, it):
                     by_key[k] += count * extra
         return ProfileCounts(by_key, max((self.max_np[s] for s in mult), default=0))
+
+    def intern(self, tags: Sequence[str]) -> array:
+        """For each start position of tags, the id of the longest seq that
+        starts there, or -1.
+
+        The walk from a start follows the (parent seq id, tag) edges of
+        seq_ids and stops at the first window the index lacks: seqs are
+        prefix-closed, so no longer window there is a seq either. The
+        shorter windows at that start are the seq's ancestors by seq_parent.
+        """
+        seq_ids = self.seq_ids
+        longest = array("i", [-1]) * len(tags)
+        for p in range(len(tags)):
+            s = -1
+            for tag in tags[p:p + self.max_tile_len]:
+                s = seq_ids.get((s, tag))
+                if s is None:
+                    break
+                longest[p] = s
+        return longest
 
     def tile_map(self, c: int, max_tile_len: int) -> _TileMap:
         """The tiles every key yields at context size c and tile length
@@ -353,7 +391,7 @@ def mbsl_train_counts(index: MbslIndex, counts: ProfileCounts,
             for t in yields[k]:
                 live[t] = 1
     table: dict[Tile, tuple[int, int]] = {}
-    entries: dict = defaultdict(list)  # the model's index
+    entries: list = [None] * len(index.seqs)  # the model's index
     for t, tile in enumerate(tiles):
         if not live[t]:
             continue
@@ -364,12 +402,17 @@ def mbsl_train_counts(index: MbslIndex, counts: ProfileCounts,
             continue
         score = tile_pos / (tile_pos + tile_neg)
         if score >= config.tile_threshold:
-            entries[tile.seq].append((
+            entry = (
                 score,
                 tile.opens[0] if tile.opens else None,
                 tile.closes[0] + 1 if tile.closes else None,
-            ))
-    return MbslModel(config, table, counts.max_np_len, dict(entries))
+            )
+            s = tile_seq[t]
+            if entries[s] is None:
+                entries[s] = [entry]
+            else:
+                entries[s].append(entry)
+    return MbslModel(config, table, counts.max_np_len, entries, index)
 
 
 def mbsl_train(corpus: Corpus, config: MbslConfig) -> MbslModel:
@@ -379,22 +422,33 @@ def mbsl_train(corpus: Corpus, config: MbslConfig) -> MbslModel:
 
 
 def mbsl_predict(model: MbslModel, sentence: Sentence) -> list[ChunkSpan]:
+    """mbsl_predict_interned over sentence interned by the model's index."""
+    return mbsl_predict_interned(model, model.source.intern(sentence.pos_tags))
+
+
+def mbsl_predict_interned(model: MbslModel, longest: array) -> list[ChunkSpan]:
     """Score candidate spans by the pair rule; select covered ones greedily.
 
-    Each window is looked up once, and each tile placement filed under the
-    border(s) it carries: both of (i, j), an opening at i or a closing at j.
-    A single-border placement keeps only the best score per far end.
+    longest is a sentence as model.source.intern gives it. Each window that
+    is a seq of the index is visited once, from its start's longest seq
+    down by seq_parent; a window the index lacks has no tiles. Each tile
+    placement is filed under the border(s) it carries: both of (i, j), an
+    opening at i or a closing at j. A single-border placement keeps only
+    the best score per far end. A seq longer than the model's tile length
+    has no tiles.
     """
-    tags = sentence.pos_tags
-    length = len(tags)
+    length = len(longest)
     index = model.index
-    max_tile_len = model.config.max_tile_len
+    seqs, seq_parent = model.source.seqs, model.source.seq_parent
     best: dict[tuple[int, int], float] = {}  # (i, j) -> score
     opening: dict[int, dict[int, float]] = defaultdict(dict)  # i -> {end: best score}
     closing: dict[int, dict[int, float]] = defaultdict(dict)  # j -> {start: best score}
-    for p in range(length):
-        for end in range(p + 1, min(length, p + max_tile_len) + 1):
-            for score, open_at, close_at in index.get(tags[p:end], ()):
+    for p, s in enumerate(longest):
+        if s < 0:
+            continue
+        end = p + len(seqs[s])
+        while s >= 0:
+            for score, open_at, close_at in index[s] or ():
                 if open_at is None:
                     starts = closing[p + close_at]
                     if score > starts.get(p, -1.0):
@@ -405,6 +459,8 @@ def mbsl_predict(model: MbslModel, sentence: Sentence) -> list[ChunkSpan]:
                         ends[end] = score
                 elif score > best.get((p + open_at, p + close_at), -1.0):
                     best[(p + open_at, p + close_at)] = score
+            s = seq_parent[s]
+            end -= 1
     # an opening tile inside (i, j) overlapping a closing tile inside (i, j)
     for i, ends in opening.items():
         for j in range(i + 1, min(length, i + model.max_np_len) + 1):

@@ -20,17 +20,25 @@ mistake updates one of its features. The score is then summed again in the
 same feature order, so the weights are the ones a per-example
 dict-and-setdefault rule gives, to the bit.
 
-Prediction (winnow_predict_corpus) decides each distinct padded window once
-per call, for all the sentences it is given; the decisions are kept only for
-that call, so a network trained further is never read through stale ones.
+Prediction runs over sentences interned by intern_windows: each distinct
+padded 3-tag window gets an id and its features are built once, and each
+sentence becomes its windows' ids. An experiment interns each test corpus
+once for all its trainings. winnow_predict_interned decides each distinct
+window once per call; the decisions are kept only for that call, so no
+other network, and no network trained further, is read through them.
+winnow_predict_corpus interns the sentences it is given and predicts them.
+Nothing here makes a reference cycle, which lets run_experiment keep the
+cyclic garbage collector off: its passes would only walk the index, the
+weights and the interned windows.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import chain
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .corpus import ChunkSpan, Corpus, Sentence
 from .resample import PrngStream
@@ -240,29 +248,50 @@ def decode_spans(begin_decisions: Sequence[bool], end_decisions: Sequence[bool]
     return spans
 
 
-def winnow_predict_corpus(network: WinnowNetwork, sentences: Iterable[Sentence]
-                          ) -> list[list[ChunkSpan]]:
-    """The spans network predicts for each sentence, in order.
+class WindowIds(NamedTuple):
+    """Sentences as ids of their padded 3-tag windows (intern_windows)."""
 
-    Each distinct padded 3-tag window is decided once per call; the memo
-    dies with the call, so it never outlives the weights it was read from.
-    """
-    begin_decide, end_decide = network.begin_unit.decide, network.end_unit.decide
-    decisions: dict = {}  # padded 3-tag window -> (begin, end)
-    predictions = []
+    features: list[tuple[Feature, ...]]  # window id -> its features
+    sentences: list[array]  # sentence -> the window id at each position
+
+
+def intern_windows(sentences: Iterable[Sentence]) -> WindowIds:
+    """Each distinct padded 3-tag window of sentences, numbered in order of
+    first occurrence, with its features built once."""
+    ids: dict = {}  # padded 3-tag window -> window id
+    features = []
+    interned = []
     for sentence in sentences:
         padded = (BOS, *sentence.pos_tags, EOS)
-        begins, ends = [], []
+        row = array("i")
         for i in range(len(padded) - 2):
             window = padded[i:i + 3]
-            decision = decisions.get(window)
-            if decision is None:
-                features = _features(window)
-                decision = decisions[window] = (begin_decide(features), end_decide(features))
-            begins.append(decision[0])
-            ends.append(decision[1])
-        predictions.append(decode_spans(begins, ends))
-    return predictions
+            w = ids.get(window)
+            if w is None:
+                w = ids[window] = len(features)
+                features.append(_features(window))
+            row.append(w)
+        interned.append(row)
+    return WindowIds(features, interned)
+
+
+def winnow_predict_interned(network: WinnowNetwork, windows: WindowIds
+                            ) -> list[list[ChunkSpan]]:
+    """The spans network predicts for each sentence of windows, in order.
+
+    Each distinct window is decided once per call, and the decisions are
+    not kept, so they never outlive the weights they were read from.
+    """
+    begins = list(map(network.begin_unit.decide, windows.features))
+    ends = list(map(network.end_unit.decide, windows.features))
+    return [decode_spans([begins[w] for w in row], [ends[w] for w in row])
+            for row in windows.sentences]
+
+
+def winnow_predict_corpus(network: WinnowNetwork, sentences: Iterable[Sentence]
+                          ) -> list[list[ChunkSpan]]:
+    """winnow_predict_interned over sentences interned by intern_windows."""
+    return winnow_predict_interned(network, intern_windows(sentences))
 
 
 def winnow_predict(network: WinnowNetwork, sentence: Sentence) -> list[ChunkSpan]:

@@ -79,7 +79,13 @@ def test_benchmark_cache_counts_readable(name):
 # positional call shapes used by perfbench/child.py and perfbench/workloads.py
 @pytest.mark.parametrize("module, name, n_args", [
     ("npchunk", "mbsl_train", 2),
+    ("npchunk", "mbsl_predict", 2),
     ("npchunk", "winnow_train", 3),
+    ("npchunk", "winnow_predict", 2),
+    ("npchunk", "score_run", 2),
+    ("npchunk", "summarize", 1),
+    ("npchunk", "compare_paired", 2),
+    ("npchunk", "derive_stream", 3),
     ("npchunk", "training_view", 3),
     ("npchunk", "read_corpus", 1),
     ("npchunk", "generate_corpus", 3),

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import functools
+import gc
 import multiprocessing
 import os
 import re
@@ -394,6 +395,40 @@ class TestRunExperiment:
             after = mbsl._sentence_profiles.cache_info()
             assert after.misses - before.misses == len(train)
             assert after.hits == before.hits
+
+
+class TestGcPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, corpora, tmp_path, enabled):
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            run_experiment(make_config(corpora, tmp_path / "out", b=2))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored_after_error(self, corpora, tmp_path, enabled):
+        bare = tmp_path / "bare.iob2"
+        bare.write_text("a\tDT\tO\n")
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            with pytest.raises(ConfigError, match="has no base-NP instances"):
+                run_experiment(make_config({**corpora, "b": str(bare)}, tmp_path / "out"))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_serial_run_leaves_no_cycles(self, corpora, tmp_path):
+        # the pause costs no memory only while a run makes no reference
+        # cycles; a pooled run is not checked, as the executor leaves its own
+        config = make_config(corpora, tmp_path / "out", b=3, systems=(
+            parse_system("mbsl:c=1"), parse_system("mbsl:c=3"), parse_system("winnow")))
+        gc.collect()
+        run_experiment(config)
+        assert gc.collect() == 0
 
 
 class TestReplay:

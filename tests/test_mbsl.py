@@ -18,6 +18,7 @@ from npchunk.mbsl import (
     Tile,
     _window_tiles,
     mbsl_predict,
+    mbsl_predict_interned,
     mbsl_train,
     mbsl_train_counts,
 )
@@ -187,6 +188,12 @@ def _span_tiles(sentence, c, max_tile_len):
     return tiles
 
 
+def _entries_by_seq(model):
+    """The model's tile entries keyed by seq, not by its own index's seq ids."""
+    return {model.source.seqs[s]: entries
+            for s, entries in enumerate(model.index) if entries is not None}
+
+
 class TestTileRule:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
@@ -209,7 +216,7 @@ class TestTileRule:
         for tile, counts in model.table.items():
             assert counts == _window_counts(view, tile)
         reference = mbsl_train(view, cfg)
-        assert model.index == reference.index
+        assert _entries_by_seq(model) == _entries_by_seq(reference)
         assert model.max_np_len == reference.max_np_len
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -227,6 +234,8 @@ class TestTileRule:
         max_tile_len = max(1, index_len - shorter_by)
         assert len(set(index.seqs)) == len(index.seqs)
         assert [index.seqs[s] for s in index.key_seq] == [seq for seq, _, _ in index.keys]
+        assert [index.seqs[s] if s >= 0 else () for s in index.seq_parent] == \
+            [seq[:-1] for seq in index.seqs]
         yielded = [
             _window_tiles(seq, opens, closes, c) if len(seq) <= max_tile_len else []
             for seq, opens, closes in index.keys
@@ -322,7 +331,7 @@ class TestProfileIndex:
             model = mbsl_train_counts(index, counts, cfg)
             reference = mbsl_train(view, cfg)
             assert list(model.table.items()) == list(reference.table.items())
-            assert model.index == reference.index
+            assert _entries_by_seq(model) == _entries_by_seq(reference)
             assert model.max_np_len == reference.max_np_len
 
     def test_index_shorter_than_config_is_an_error(self):
@@ -412,40 +421,62 @@ class TestPairRule:
     @settings(max_examples=300, deadline=None, derandomize=True)
     # an opening and a closing tile of "[A A A]" at c=3 overlap across four
     # tags, one more than the longest gold NP
-    @example(train=[[(False, ["A"]), (True, ["A", "A", "A"])]], probes=[], c=3,
+    @example(train=[[(False, ["A"]), (True, ["A", "A", "A"])]], probes=[], picks=[0], c=3,
              max_tile_len=3, tile_threshold=0.0, min_positive_count=1)
     # the pair rule keeps the best score per border and far end: keeping the
     # first opening-only score per (i, end) fails the first example, and the
     # first closing-only score per (j, start) the second
-    @example(train=[[(True, ["B"]), (True, ["B", "B"])]], probes=[], c=1,
+    @example(train=[[(True, ["B"]), (True, ["B", "B"])]], probes=[], picks=[0], c=1,
              max_tile_len=2, tile_threshold=0.0, min_positive_count=1)
     @example(train=[[(False, ["A"]), (True, ["A"]), (True, ["A", "A", "B"])]], probes=[],
-             c=2, max_tile_len=2, tile_threshold=0.0, min_positive_count=1)
+             picks=[0], c=2, max_tile_len=2, tile_threshold=0.0, min_positive_count=1)
+    # a walk that skipped the unseen "C" would read "A C B" as the seq "A B"
+    @example(train=[[(True, ["A", "B"])]], probes=[["A", "C", "B"]], picks=[0], c=1,
+             max_tile_len=3, tile_threshold=0.0, min_positive_count=1)
     @given(
         train=st.lists(_segments, min_size=1, max_size=8),
-        probes=st.lists(st.lists(st.sampled_from("AB"), max_size=10), max_size=4),
+        # "C" never occurs in training
+        probes=st.lists(st.lists(st.sampled_from("ABC"), max_size=10), max_size=4),
+        picks=st.lists(st.integers(0, 7), min_size=1, max_size=8),
         c=st.integers(0, 3),
         max_tile_len=st.integers(1, 6),
         tile_threshold=st.sampled_from([0.0, 0.5, 0.8]),
         min_positive_count=st.sampled_from([1, 2]),
     )
-    def test_border_tiles_and_chain_oracle(self, train, probes, c, max_tile_len,
+    def test_border_tiles_and_chain_oracle(self, train, probes, picks, c, max_tile_len,
                                            tile_threshold, min_positive_count):
+        # the sentences are interned once and predicted under two models
+        # trained from different count vectors of one index, as the harness
+        # predicts its test corpora under every resample's model
         corpus = Corpus(tuple(_sentence(segments) for segments in train))
-        model = mbsl_train(corpus, MbslConfig(c, max_tile_len, tile_threshold,
-                                              min_positive_count))
-        for tile in model.table:
-            # every tile carries a border, with at most c tags outside it,
-            # and a single-border tile holds 1..c tags inside
-            assert tile.opens or tile.closes
-            if tile.opens:
-                assert tile.opens[0] <= c
-            if tile.closes:
-                assert len(tile.seq) - 1 - tile.closes[0] <= c
-            if not tile.closes:
-                assert 1 <= len(tile.seq) - tile.opens[0] <= c
-            if not tile.opens:
-                assert 1 <= tile.closes[0] + 1 <= c
+        cfg = MbslConfig(c, max_tile_len, tile_threshold, min_positive_count)
+        index = MbslIndex(corpus, max_tile_len)
         sentences = list(corpus.sentences) + [sent(tags, []) for tags in probes]
-        for sentence in sentences:
-            assert mbsl_predict(model, sentence) == _oracle_predict(model, sentence)
+        interned = [index.intern(sentence.pos_tags) for sentence in sentences]
+        seq_ids = {seq: s for s, seq in enumerate(index.seqs)}
+        for sentence, starts in zip(sentences, interned):
+            # the id of the longest window at each start that is a seq
+            tags = sentence.pos_tags
+            assert list(starts) == [
+                next((seq_ids[tags[p:e]] for e in range(len(tags), p, -1)
+                      if tags[p:e] in seq_ids), -1)
+                for p in range(len(tags))
+            ]
+        for ids in (range(len(corpus)), [pick % len(corpus) for pick in picks]):
+            model = mbsl_train_counts(index, index.counts(ids), cfg)
+            for tile in model.table:
+                # every tile carries a border, with at most c tags outside it,
+                # and a single-border tile holds 1..c tags inside
+                assert tile.opens or tile.closes
+                if tile.opens:
+                    assert tile.opens[0] <= c
+                if tile.closes:
+                    assert len(tile.seq) - 1 - tile.closes[0] <= c
+                if not tile.closes:
+                    assert 1 <= len(tile.seq) - tile.opens[0] <= c
+                if not tile.opens:
+                    assert 1 <= tile.closes[0] + 1 <= c
+            for sentence, starts in zip(sentences, interned):
+                expected = _oracle_predict(model, sentence)
+                assert mbsl_predict_interned(model, starts) == expected
+                assert mbsl_predict(model, sentence) == expected

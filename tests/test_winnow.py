@@ -16,8 +16,10 @@ from npchunk.winnow import (
     WinnowUnit,
     _features,
     decode_spans,
+    intern_windows,
     winnow_predict,
     winnow_predict_corpus,
+    winnow_predict_interned,
     winnow_train,
     winnow_train_ids,
 )
@@ -224,10 +226,12 @@ class TestPredictCorpus:
         # three tags, so the sentences share windows; empty ones are drawn too
         corpus = Corpus(tuple(_sentence(tokens) for tokens in sentences))
         test = list(corpus.sentences) + [sent(tags) for tags in probes]
+        windows = intern_windows(test)  # once, as the harness interns a test corpus
         for config, seed in zip(configs, seeds):
             # two networks in turn: no decision may carry over from the other
             network = winnow_train(corpus, config, PrngStream(seed))
             expected = [_decoded(network, s) for s in test]
+            assert winnow_predict_interned(network, windows) == expected
             assert winnow_predict_corpus(network, test) == expected
             assert [winnow_predict(network, s) for s in test] == expected
 
