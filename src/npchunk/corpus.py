@@ -8,7 +8,11 @@ and the scorer read only the tags and the spans.
 
 Files are 3-column IOB2: ``word<TAB>pos<TAB>tag`` with tag in {B-NP, I-NP, O},
 one token per line, blank line between sentences. A malformed line raises
-``CorpusFormatError``, whose message starts with ``<file>:<line>:``.
+``CorpusFormatError``, whose message starts with ``<file>:<line>:``. In a
+corpus read from one file, equal words, equal tags and equal spans are one
+object each: a run keeps its corpora from the first resample to the last, and
+most of their tokens repeat. The sharing goes through a dict local to the
+read, not ``sys.intern``, so nothing of it outlives the corpus.
 """
 
 from __future__ import annotations
@@ -83,8 +87,10 @@ class Corpus:
 # IOB2 file I/O
 
 
-def _sentence_from_rows(rows: list[list[str]], first_line: int,
-                        path: str | Path) -> Sentence:
+def _sentence_from_rows(rows: list[list[str]], first_line: int, path: str | Path,
+                        seen: dict) -> Sentence:
+    """The sentence of rows; its words, tags and spans are the objects in seen
+    that equal them, added when new."""
     spans: list[ChunkSpan] = []
     open_start = -1
     for offset, (_, _, tag) in enumerate(rows):
@@ -105,11 +111,17 @@ def _sentence_from_rows(rows: list[list[str]], first_line: int,
     if open_start >= 0:
         spans.append(ChunkSpan(open_start, len(rows)))
     words, tags, _ = zip(*rows)
-    return Sentence(words, tags, tuple(spans))
+    share = seen.setdefault
+    return Sentence(tuple(map(share, words, words)), tuple(map(share, tags, tags)),
+                    tuple(map(share, spans, spans)))
 
 
 def read_corpus(path: str | Path) -> Corpus:
-    """Read a strict-IOB2 file. Raises CorpusFormatError naming file and line."""
+    """Read a strict-IOB2 file. Raises CorpusFormatError naming file and line.
+
+    Equal words, tags and spans of the file are one object each.
+    """
+    seen: dict = {}  # word, tag or span -> its one object
     sentences: list[Sentence] = []
     rows: list[list[str]] = []
     first_line = 1
@@ -119,7 +131,7 @@ def read_corpus(path: str | Path) -> Corpus:
                 line = raw.rstrip("\r\n")
                 if not line:
                     if rows:
-                        sentences.append(_sentence_from_rows(rows, first_line, path))
+                        sentences.append(_sentence_from_rows(rows, first_line, path, seen))
                         rows = []
                     continue
                 parts = line.split("\t")
@@ -147,7 +159,7 @@ def read_corpus(path: str | Path) -> Corpus:
             ) from None
         raise
     if rows:
-        sentences.append(_sentence_from_rows(rows, first_line, path))
+        sentences.append(_sentence_from_rows(rows, first_line, path, seen))
     return Corpus(tuple(sentences))
 
 

@@ -13,7 +13,6 @@ run_experiment keeps the cyclic garbage collector off while it runs.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import gc
 import itertools
@@ -391,6 +390,8 @@ class _Experiment:
         """run_resample for every task, in task order."""
         if self.config.workers == 1 or len(self.tasks) <= 1:
             return [self.run_resample(task) for task in self.tasks]
+        import concurrent.futures  # here, so that only a pooled run imports it
+
         # Workers get the experiment once, as an initializer argument, so
         # the corpora are not shipped again with every task. A worker per
         # task at most: a forking pool starts all of them at once.

@@ -192,9 +192,11 @@ class MbslIndex:
     keys[k] is a profile key (seq, opens, closes), key_seq[k] the id of its
     seq, seqs[i] the seq of id i, seq_parent[i] the id of seqs[i][:-1] (-1
     for a one-tag seq), and seq_order the seq ids sorted by seq
-    (seq_rank[i] is i's place in it). pairs[s] holds sentence s's profile as
-    flat (key id, count) pairs, max_np[s] its longest gold NP, and full the
-    profile counts of every sentence once, from which counts(ids) starts.
+    (seq_rank[i] is i's place in it). Equal opens or closes tuples of the
+    keys are one object, through a dict local to the build. pairs[s] holds
+    sentence s's profile as flat (key id, count) pairs, max_np[s] its
+    longest gold NP, and full the profile counts of every sentence once,
+    from which counts(ids) starts.
     The index is the only store of these profiles, and nothing is kept
     between experiments. tile_map(c, max_tile_len) lists the tiles the keys
     yield at context size c and that tile length, built on first use.
@@ -244,6 +246,7 @@ class MbslIndex:
         self.seq_parent: list[int] = []
         self.key_seq: list[int] = []
         self.keys: list[tuple] = []
+        marks: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal opens/closes share one
         for up, step in zip(parent, key_step):
             tag, opens_here, closes_here = steps[step]
             if up < 0:
@@ -256,9 +259,14 @@ class MbslIndex:
                 self.seqs.append(seq + (tag,))
                 self.seq_parent.append(up_seq)
             at = len(seq)
+            if opens_here:
+                opens = opens + (at,)
+                opens = marks.setdefault(opens, opens)
+            if closes_here:
+                closes = closes + (at,)
+                closes = marks.setdefault(closes, closes)
             self.key_seq.append(s)
-            self.keys.append((self.seqs[s], opens + (at,) if opens_here else opens,
-                              closes + (at,) if closes_here else closes))
+            self.keys.append((self.seqs[s], opens, closes))
         self.seq_order = sorted(range(len(self.seqs)), key=self.seqs.__getitem__)
         self.seq_rank = [0] * len(self.seqs)  # seq id -> its seq's place in sorted order
         for r, s in enumerate(self.seq_order):

@@ -21,8 +21,9 @@ same feature order, so the weights are the ones a per-example
 dict-and-setdefault rule gives, to the bit.
 
 Prediction runs over sentences interned by intern_windows: each distinct
-padded 3-tag window gets an id and its features are built once, and each
-sentence becomes its windows' ids. An experiment interns each test corpus
+padded 3-tag window gets an id and its features are built once, equal
+features of different windows being one object, and each sentence becomes
+its windows' ids. An experiment interns each test corpus
 once for all its trainings. winnow_predict_interned decides each distinct
 window once per call; the decisions are kept only for that call, so no
 other network, and no network trained further, is read through them.
@@ -83,6 +84,8 @@ class WinnowIndex:
     of window w, in _features order; containing[f] holds the
     ids of the windows that contain feature f. Built from a corpus, rows[s]
     holds one (window id, is_begin, is_end) row per token of sentence s.
+    Windows are looked up by their feature ids, so the index holds each
+    distinct feature once, in features.
     """
 
     def __init__(self, corpus: Corpus | None = None):
@@ -111,21 +114,23 @@ class WinnowIndex:
             self.rows.append(tuple(rows))
 
     def window_id(self, window: Iterable[Hashable]) -> int:
-        """The id of a window of features, interning it when new."""
-        window = tuple(window)
-        w = self._window_ids.get(window)
+        """The id of a window of features, interning it and its features
+        when new."""
+        ids = []
+        for feature in window:
+            f = self._feature_ids.get(feature)
+            if f is None:
+                f = self._feature_ids[feature] = len(self.features)
+                self.features.append(feature)
+                self.containing.append([])
+            ids.append(f)
+        ids = tuple(ids)
+        w = self._window_ids.get(ids)
         if w is None:
-            w = self._window_ids[window] = len(self.windows)
-            ids = []
-            for feature in window:
-                f = self._feature_ids.get(feature)
-                if f is None:
-                    f = self._feature_ids[feature] = len(self.features)
-                    self.features.append(feature)
-                    self.containing.append([])
+            w = self._window_ids[ids] = len(self.windows)
+            self.windows.append(ids)
+            for f in ids:
                 self.containing[f].append(w)
-                ids.append(f)
-            self.windows.append(tuple(ids))
         return w
 
 
@@ -257,8 +262,10 @@ class WindowIds(NamedTuple):
 
 def intern_windows(sentences: Iterable[Sentence]) -> WindowIds:
     """Each distinct padded 3-tag window of sentences, numbered in order of
-    first occurrence, with its features built once."""
+    first occurrence, with its features built once; equal features of
+    different windows are one object."""
     ids: dict = {}  # padded 3-tag window -> window id
+    seen: dict = {}  # feature -> its one object
     features = []
     interned = []
     for sentence in sentences:
@@ -269,7 +276,8 @@ def intern_windows(sentences: Iterable[Sentence]) -> WindowIds:
             w = ids.get(window)
             if w is None:
                 w = ids[window] = len(features)
-                features.append(_features(window))
+                window_features = _features(window)
+                features.append(tuple(map(seen.setdefault, window_features, window_features)))
             row.append(w)
         interned.append(row)
     return WindowIds(features, interned)

@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from npchunk.corpus import (
@@ -244,11 +244,18 @@ _CORPORA = st.lists(_sentences(), max_size=4).map(lambda s: Corpus(tuple(s)))
 
 class TestIob2Property:
     @settings(max_examples=200, deadline=None, derandomize=True)
+    @example(corpus=Corpus((sent([("the", "DT"), ("dog", "NN")], [(0, 2)]),) * 2))
     @given(corpus=_CORPORA)
     def test_write_then_read_round_trips(self, tmp_path_factory, corpus):
         path = tmp_path_factory.mktemp("rt") / "c.iob2"
         write_corpus(corpus, path)
-        assert read_corpus(path) == corpus
+        again = read_corpus(path)
+        assert again == corpus
+        # equal words, tags and spans of one file are one object each
+        tokens = [v for s in again.sentences for v in s.words + s.pos_tags]
+        spans = [span for s in again.sentences for span in s.gold_spans]
+        for values in (tokens, spans):
+            assert len({id(v) for v in values}) == len(set(values))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(corpus=_CORPORA.filter(len), data=st.data())

@@ -636,14 +636,24 @@ class TestGenAndStats:
 
 
 class TestCli:
-    def run_cli(self, *args):
+    def run_python(self, *args):
         # the child imports the same npchunk as this test, installed or not
         src = str(Path(harness.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         return subprocess.run(
-            [sys.executable, "-m", "npchunk.cli", *args],
+            [sys.executable, *args],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
+
+    def run_cli(self, *args):
+        return self.run_python("-m", "npchunk.cli", *args)
+
+    def test_import_leaves_out_the_pool_library(self):
+        # only a pooled run imports concurrent.futures
+        result = self.run_python(
+            "-c", "import sys, npchunk.cli; print('concurrent.futures' in sys.modules)")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
 
     def test_gen_and_run_round_trip(self, tmp_path):
         train = tmp_path / "train.iob2"

@@ -278,6 +278,9 @@ class TestProfileIndex:
         pairs = iter(index.pairs[0])
         assert [(index.keys[k], n) for k, n in zip(pairs, pairs)] == \
             list(_brute_profile(sentence, max_tile_len).items())
+        # equal opens and closes tuples of the keys are one object each
+        marks = [m for _, opens, closes in index.keys for m in (opens, closes)]
+        assert len({id(m) for m in marks}) == len(set(marks))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     # the longest NP lies in the sentence left out

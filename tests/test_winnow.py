@@ -178,6 +178,27 @@ def _hex(weights):
     return {f: w.hex() for f, w in weights.items()}
 
 
+def _features_held(root):
+    """Each feature object reachable from root through its attributes and
+    the lists, tuples and dicts (keys and values) they hold, once."""
+    held, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in held:
+            continue
+        held[id(obj)] = obj
+        if isinstance(obj, dict):
+            stack.extend(obj)
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, WinnowIndex):
+            stack.extend(vars(obj).values())
+    # a feature is (offset, n-gram); no other tuple held has an int, then a tuple
+    return [obj for obj in held.values() if isinstance(obj, tuple) and len(obj) == 2
+            and isinstance(obj[0], int) and isinstance(obj[1], tuple)]
+
+
 class TestCachedScores:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -195,7 +216,11 @@ class TestCachedScores:
         ids = [p % len(corpus) for p in picks]  # repeats, as in a bootstrap view
         config = WinnowConfig(promotion, demotion, threshold, epochs)
         expected = _setdefault_winnow(corpus, ids, config, PrngStream(seed))
-        indexed = winnow_train_ids(WinnowIndex(corpus), ids, config, PrngStream(seed))
+        index = WinnowIndex(corpus)
+        # equal features are one object in the index
+        held = _features_held(index)
+        assert len(held) == len(set(held))
+        indexed = winnow_train_ids(index, ids, config, PrngStream(seed))
         view = Corpus(tuple(corpus.sentences[i] for i in ids))
         fresh = winnow_train(view, config, PrngStream(seed))
         for network in (indexed, fresh):
@@ -227,6 +252,9 @@ class TestPredictCorpus:
         corpus = Corpus(tuple(_sentence(tokens) for tokens in sentences))
         test = list(corpus.sentences) + [sent(tags) for tags in probes]
         windows = intern_windows(test)  # once, as the harness interns a test corpus
+        # equal features of different windows are one object
+        held = _features_held(windows)
+        assert len(held) == len(set(held))
         for config, seed in zip(configs, seeds):
             # two networks in turn: no decision may carry over from the other
             network = winnow_train(corpus, config, PrngStream(seed))
