@@ -18,13 +18,17 @@ the window yields the tiles
 The counts are linear in the sentence multiplicities m_s: a tile's
 pos(t) = sum_s m_s*pos_s(t), and pos+neg sums the same way. So an MbslIndex
 interns a training corpus's profile keys once, through a trie whose edges
-extend a window by one tag and its border marks, and holds each sentence's
-profile P_s as (key id, count) pairs, and F = sum_s P_s. The index is the
-only store of profiles: it lives in its experiment, and nothing persists
-from one experiment to the next. A resample's count vector
-(MbslIndex.counts) is F + sum_{m_s != 1} (m_s - 1)*P_s, which reads only
-the sentences the resample leaves out or repeats, and it is shared by every
-context size and tile length.
+extend a window by one tag and its border marks. A window (p, l) is the
+depth-l key on the trie path of the longest window at p, so P_s(k), the
+number of windows of sentence s with key k, is the number of starts of s
+whose longest window's key (its end) lies in k's subtree. The index holds
+each sentence's ends, one key id per start, and F, the end counts of every
+sentence once. The index is the only store of profiles: it lives in its
+experiment, and nothing persists from one experiment to the next. A
+resample's count vector (MbslIndex.counts) adds (m_s - 1) to F at each end
+of each sentence whose m_s is not 1, which reads only the sentences the
+resample leaves out or repeats, then sums each key's count into its parent,
+once over the trie; it is shared by every context size and tile length.
 The profile at a shorter tile length L is the longer one's keys of at most
 L tags, with the same counts, so one index at the longest tile length
 serves them all. Per context size and tile length the index lists the
@@ -67,7 +71,7 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, count, product
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence
 
@@ -178,25 +182,58 @@ class _TileMap(NamedTuple):
     yields: list[tuple[int, ...]]  # key id -> ids of the tiles _window_tiles gives
 
 
+def _add_key(edges: dict[int, int], parent: list[int], key_step: list[int],
+             link: list[int], width: int, u: int, step: int) -> int:
+    """Add the key u extended by step, which edges lacks, and return its id.
+
+    Its suffix link is the link of u extended by step. When that key is
+    missing too, it is added first, and so on down the links of u; so a
+    key's link and parent always have smaller ids than the key.
+    """
+    missing = [u]
+    while u >= 0:
+        u = link[u]
+        k = edges.get((u + 1) * width + step)
+        if k is not None:
+            break
+        missing.append(u)
+    else:
+        k = -1  # a one-step key links to the root
+    for u in reversed(missing):
+        new = edges[(u + 1) * width + step] = len(parent)
+        parent.append(u)
+        key_step.append(step)
+        link.append(k)
+        k = new
+    return k
+
+
 class MbslIndex:
     """The window profiles of a training corpus, interned once.
 
     The profile keys form a trie: a window's key is the key of the window
-    one tag shorter at the same start, extended by one step (tag, a chunk
-    opens before it, a chunk closes after it). Each window is one edge
-    lookup, a new key one new edge, so keys get ids in order of first
-    occurrence; seq ids come the same way from (parent seq id, tag) edges.
-    The key edges live only while the index is built; the seq edges stay, as
-    seq_ids, so that intern can map test windows to seq ids.
+    one tag shorter at the same start (its parent), extended by one step
+    (tag, a chunk opens before it, a chunk closes after it). The build walks
+    only each start's longest window, of up to max_tile_len steps, through
+    suffix links: the link of a key is the key of its steps without the
+    first one. The longest window at p + 1 is the link of the one at p,
+    extended by the step at p + max_tile_len while that is in the sentence,
+    so each start costs about one edge lookup. A new key gets its link
+    first, so a key's id is larger than its parent's and its link's; ids
+    come in that creation order, which no output reads. seq ids come in key
+    order from (parent seq id, tag) edges. The key edges and links live only
+    while the index is built; the seq edges stay, as seq_ids, so that intern
+    can map test windows to seq ids.
 
-    keys[k] is a profile key (seq, opens, closes), key_seq[k] the id of its
-    seq, seqs[i] the seq of id i, seq_parent[i] the id of seqs[i][:-1] (-1
-    for a one-tag seq), and seq_order the seq ids sorted by seq
-    (seq_rank[i] is i's place in it). Equal opens or closes tuples of the
-    keys are one object, through a dict local to the build. pairs[s] holds
-    sentence s's profile as flat (key id, count) pairs, max_np[s] its
-    longest gold NP, and full the profile counts of every sentence once,
-    from which counts(ids) starts.
+    keys[k] is a profile key (seq, opens, closes), parent[k] the id of its
+    parent (-1 for a one-step key), key_seq[k] the id of its seq, seqs[i]
+    the seq of id i, seq_parent[i] the id of seqs[i][:-1] (-1 for a one-tag
+    seq), and seq_order the seq ids sorted by seq (seq_rank[i] is i's place
+    in it). Equal opens or closes tuples of the keys are one object, through
+    a dict local to the build. ends[s] holds, per start of sentence s, the
+    key id of the longest window there, max_np[s] its longest gold NP, and
+    full[k] how many starts of all the sentences end at key k, from which
+    counts(ids) starts.
     The index is the only store of these profiles, and nothing is kept
     between experiments. tile_map(c, max_tile_len) lists the tiles the keys
     yield at context size c and that tile length, built on first use.
@@ -206,10 +243,11 @@ class MbslIndex:
         self.max_tile_len = max_tile_len
         self.max_np = [max((end - start for start, end in sentence.gold_spans), default=0)
                        for sentence in corpus.sentences]
-        step_ids: dict[tuple[str, bool, bool], int] = {}
+        # step -> id, in order of first occurrence
+        step_ids: defaultdict[tuple[str, bool, bool], int] = defaultdict(count().__next__)
         walks = [
-            [step_ids.setdefault(step, len(step_ids))
-             for step in _sentence_profiles(sentence.pos_tags, sentence.gold_spans)]
+            list(map(step_ids.__getitem__,
+                     _sentence_profiles(sentence.pos_tags, sentence.gold_spans)))
             for sentence in corpus.sentences
         ]
         steps = list(step_ids)
@@ -217,29 +255,30 @@ class MbslIndex:
         edges: dict[int, int] = {}  # (parent key id + 1) * width + step id -> key id
         parent: list[int] = []  # key id -> parent key id, -1 at the root
         key_step: list[int] = []  # key id -> step id
-        full: list[int] = []
-        self.pairs: list[array] = []
+        link: list[int] = []  # key id -> its suffix link's key id, -1 at the root
+        self.ends: list[array] = []
         for walk in walks:
-            profile: dict[int, int] = {}
-            for p in range(len(walk)):
-                up = -1
-                for step in walk[p:p + max_tile_len]:
-                    edge = (up + 1) * width + step
-                    k = edges.get(edge)
-                    if k is None:
-                        k = edges[edge] = len(parent)
-                        parent.append(up)
-                        key_step.append(step)
-                        full.append(0)
-                    profile[k] = profile.get(k, 0) + 1
-                    full[k] += 1
-                    up = k
-            pairs = [0] * (2 * len(profile))
-            pairs[::2] = profile
-            pairs[1::2] = profile.values()
-            self.pairs.append(array("i", pairs))
-        del edges
-        self.full = full
+            ends: list[int] = []  # the key of the longest window at each start
+            u = -1  # the root; then the longest window at the first start
+            for step in walk[:max_tile_len]:
+                k = edges.get((u + 1) * width + step)
+                u = _add_key(edges, parent, key_step, link, width, u, step) if k is None else k
+            # the longest window at the next start is u without its first step
+            # (its link), extended by the step after u while that is in the walk
+            for step in walk[max_tile_len:]:
+                ends.append(u)
+                u = link[u]
+                k = edges.get((u + 1) * width + step)
+                u = _add_key(edges, parent, key_step, link, width, u, step) if k is None else k
+            for _ in walk[-max_tile_len:]:
+                ends.append(u)
+                u = link[u]
+            self.ends.append(array("i", ends))
+        del edges, link
+        self.parent = parent
+        self.full = [0] * len(parent)
+        for k, starts in Counter(chain.from_iterable(self.ends)).items():
+            self.full[k] = starts
         # seq ids by a second trie over (parent seq id, tag), in key order
         self.seq_ids: dict[tuple[int, str], int] = {}
         self.seqs: list[tuple[str, ...]] = []
@@ -276,18 +315,32 @@ class MbslIndex:
     def counts(self, ids: Iterable[int]) -> ProfileCounts:
         """The profile counts of the sentences ids, each as often as it occurs.
 
-        That is full plus (m_s - 1) times each sentence's profile whose
-        multiplicity m_s is not 1, so a view touches only the sentences it
-        leaves out or repeats.
+        The end counts are full plus m_s - 1 at each end of each sentence
+        whose multiplicity m_s is not 1, so a view touches only the
+        sentences it leaves out or repeats. A key's count is then the sum of
+        the end counts in its subtree. An id outside range(len(corpus)) is a
+        ValueError.
         """
         mult = Counter(ids)
+        n = len(self.ends)
+        if mult:
+            low, high = min(mult), max(mult)
+            if low < 0 or high >= n:
+                raise ValueError(f"sentence id {low if low < 0 else high} is outside range({n})")
         by_key = self.full.copy()
-        for s, pairs in enumerate(self.pairs):
+        for s, ends in enumerate(self.ends):
             extra = mult.get(s, 0) - 1
             if extra:
-                it = iter(pairs)
-                for k, count in zip(it, it):
-                    by_key[k] += count * extra
+                for k in ends:
+                    by_key[k] += extra
+        # each key's count into its parent's, children first (a key's id is
+        # larger than its parent's); a one-step key's parent -1 adds into a
+        # trailing slot that is then dropped
+        by_key.append(0)
+        parent = self.parent
+        for k, up in zip(range(len(parent) - 1, -1, -1), reversed(parent)):
+            by_key[up] += by_key[k]
+        by_key.pop()
         return ProfileCounts(by_key, max((self.max_np[s] for s in mult), default=0))
 
     def intern(self, tags: Sequence[str]) -> array:

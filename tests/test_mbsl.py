@@ -1,3 +1,6 @@
+import gc
+import pickle
+
 import pytest
 from collections import Counter
 from itertools import chain
@@ -254,33 +257,75 @@ class TestTileRule:
                                    for key_tiles in yielded]
 
 
-def _brute_profile(sentence, max_tile_len):
-    """Every window of at most max_tile_len tags, keyed by (seq, opens, closes)
-    and counted, in order of first occurrence."""
-    tags, length = sentence.pos_tags, len(sentence)
+def _window_key(sentence, p, l):
+    """The profile key (seq, opens, closes) of the l tags of sentence at p."""
     starts = {start for start, _ in sentence.gold_spans}
     ends = {end for _, end in sentence.gold_spans}
-    profile = Counter()
-    for p in range(length):
-        for l in range(1, min(max_tile_len, length - p) + 1):
-            opens = tuple(m for m in range(l) if p + m in starts)
-            closes = tuple(m for m in range(l) if p + m + 1 in ends)
-            profile[(tags[p:p + l], opens, closes)] += 1
-    return profile
+    opens = tuple(m for m in range(l) if p + m in starts)
+    closes = tuple(m for m in range(l) if p + m + 1 in ends)
+    return sentence.pos_tags[p:p + l], opens, closes
+
+
+def _brute_profile(sentence, max_tile_len):
+    """Every window of at most max_tile_len tags, keyed by (seq, opens, closes)
+    and counted."""
+    length = len(sentence)
+    return Counter(_window_key(sentence, p, l) for p in range(length)
+                   for l in range(1, min(max_tile_len, length - p) + 1))
 
 
 class TestProfileIndex:
     @settings(max_examples=300, deadline=None, derandomize=True)
+    @example(segments=[], max_tile_len=3)  # no tokens: no end, no key
+    @example(segments=[(True, ["A", "B"]), (False, ["B", "A"])], max_tile_len=1)
     @given(segments=_segments, max_tile_len=st.integers(1, 7))
     def test_profiles_equal_brute_force(self, segments, max_tile_len):
         sentence = _sentence(segments)
         index = MbslIndex(Corpus((sentence,)), max_tile_len)
-        pairs = iter(index.pairs[0])
-        assert [(index.keys[k], n) for k, n in zip(pairs, pairs)] == \
-            list(_brute_profile(sentence, max_tile_len).items())
+        # keys are distinct, and each is its parent extended by one step
+        assert len(set(index.keys)) == len(index.keys) == len(index.parent)
+        for k, up in enumerate(index.parent):
+            assert up < k
+            seq, opens, closes = index.keys[k]
+            last = len(seq) - 1
+            assert (index.keys[up] if up >= 0 else ((), (), ())) == (
+                seq[:last], tuple(m for m in opens if m < last),
+                tuple(m for m in closes if m < last))
+        # each start ends at the key of its longest window
+        length = len(sentence)
+        assert [index.keys[k] for k in index.ends[0]] == \
+            [_window_key(sentence, p, min(max_tile_len, length - p)) for p in range(length)]
+        # per key, the windows counted up the trie
+        assert dict(zip(index.keys, index.counts([0]).by_key)) == \
+            dict(_brute_profile(sentence, max_tile_len))
         # equal opens and closes tuples of the keys are one object each
         marks = [m for _, opens, closes in index.keys for m in (opens, closes)]
         assert len({id(m) for m in marks}) == len(set(marks))
+
+    def test_counts_rejects_unknown_ids(self):
+        corpus = Corpus((sent(["DT", "NN"], [(0, 2)]), sent(["VBD"], [])))
+        index = MbslIndex(corpus, 3)
+        for bad in (-1, 2):
+            with pytest.raises(ValueError, match=f"sentence id {bad} is outside range\\(2\\)"):
+                index.counts([0, bad, 1])
+
+    def test_index_pickles_and_makes_no_cycles(self):
+        # a forkserver pool pickles the experiment, index included, and a run
+        # keeps the cyclic garbage collector off
+        corpus = Corpus((sent(["DT", "NN", "VBD", "DT", "JJ", "NN"], [(0, 2), (3, 6)]),
+                         sent(["NN", "VBD"], [(0, 1)])))
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            index = MbslIndex(corpus, 3)
+            copy = pickle.loads(pickle.dumps(index))
+            assert vars(copy) == vars(index)
+            assert not any(callable(value) for value in vars(index).values())
+            del index, copy
+            assert gc.collect() == 0
+        finally:
+            (gc.enable if was else gc.disable)()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     # the longest NP lies in the sentence left out
