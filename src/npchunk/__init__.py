@@ -47,7 +47,6 @@ from .winnow import (
     WinnowNetwork,
     WinnowUnit,
     winnow_predict,
-    winnow_predict_corpus,
     winnow_train,
 )
 

@@ -7,6 +7,7 @@ import sys
 
 from .harness import (
     ConfigError,
+    _fmt,
     gen_corpus_cmd,
     load_config,
     replay_resample,
@@ -64,10 +65,9 @@ def main(argv: list[str] | None = None) -> int:
             report = run_experiment(config)
             print(f"config_hash={report.config_hash}")
             for (system, test), summary in sorted(report.summaries.items()):
-                std = "NA" if summary.std is None else f"{summary.std:.6f}"
                 print(
-                    f"{system}\t{test}\tn={summary.n}\tmean={summary.mean:.6f}"
-                    f"\tstd={std}\te_full={report.e_full[(system, test)]:.6f}"
+                    f"{system}\t{test}\tn={summary.n}\tmean={_fmt(summary.mean)}"
+                    f"\tstd={_fmt(summary.std)}\te_full={_fmt(report.e_full[(system, test)])}"
                 )
             print(f"reports written to {config.output_dir}")
         elif args.command == "stats":
@@ -75,10 +75,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "replay":
             config = load_config(args.config, args.overrides)
             for system, test, metrics in replay_resample(config, args.resample_id):
-                precision = (
-                    "NA" if metrics.precision is None else f"{metrics.precision:.6f}"
-                )
-                print(f"{system}\t{test}\trecall={metrics.recall:.6f}\tprecision={precision}")
+                print(f"{system}\t{test}\trecall={_fmt(metrics.recall)}"
+                      f"\tprecision={_fmt(metrics.precision)}")
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,9 +11,10 @@ positive. An active feature is allocated at weight 1 the first time it
 appears in training; features never seen in training contribute nothing at
 prediction time.
 
-Training runs over a WinnowIndex, built once per training corpus: each
-distinct window is interned as a tuple of feature ids, and each sentence
-becomes (window id, is_begin, is_end) rows. A resample is a list of
+Training runs over a WinnowIndex, built once per training corpus from
+intern_windows: each distinct window becomes a tuple of feature ids, with
+the window ids intern_windows gives, and each sentence becomes (window
+id, is_begin, is_end) rows. A resample is a list of
 sentence ids. Every epoch's order is drawn first, then each unit makes one
 pass over the rows with list weights, keeping each window's score until a
 mistake updates one of its features. The score is then summed again in the
@@ -27,7 +28,6 @@ its windows' ids. An experiment interns each test corpus
 once for all its trainings. winnow_predict_interned decides each distinct
 window once per call; the decisions are kept only for that call, so no
 other network, and no network trained further, is read through them.
-winnow_predict_corpus interns the sentences it is given and predicts them.
 Nothing here makes a reference cycle, which lets run_experiment keep the
 cyclic garbage collector off: its passes would only walk the index, the
 weights and the interned windows.
@@ -82,10 +82,9 @@ class WinnowIndex:
 
     features[f] is the feature with id f; windows[w] holds the feature ids
     of window w, in _features order; containing[f] holds the
-    ids of the windows that contain feature f. Built from a corpus, rows[s]
-    holds one (window id, is_begin, is_end) row per token of sentence s.
-    Windows are looked up by their feature ids, so the index holds each
-    distinct feature once, in features.
+    ids of the windows that contain feature f. Built from a corpus, windows
+    are numbered as intern_windows numbers them, and rows[s] holds one
+    (window id, is_begin, is_end) row per token of sentence s.
     """
 
     def __init__(self, corpus: Corpus | None = None):
@@ -94,28 +93,23 @@ class WinnowIndex:
         self.containing: list[list[int]] = []
         self.rows: list[tuple[tuple[int, bool, bool], ...]] = []
         self._feature_ids: dict = {}
-        self._window_ids: dict = {}
         if corpus is None:
             return
-        by_tags: dict = {}  # padded 3-tag window -> window id
-        interned: dict = {}  # equal rows share one tuple
-        for sentence in corpus.sentences:
-            padded = (BOS, *sentence.pos_tags, EOS)
-            begins = {s for s, _ in sentence.gold_spans}
-            ends = {e - 1 for _, e in sentence.gold_spans}
-            rows = []
-            for i in range(len(padded) - 2):
-                tags = padded[i:i + 3]
-                w = by_tags.get(tags)
-                if w is None:
-                    w = by_tags[tags] = self.window_id(_features(tags))
-                row = (w, i in begins, i in ends)
-                rows.append(interned.setdefault(row, row))
-            self.rows.append(tuple(rows))
+        interned = intern_windows(corpus.sentences)
+        for window in interned.features:
+            self.add_window(window)
+        shared: dict = {}  # equal rows share one tuple
+        for sentence, ids in zip(corpus.sentences, interned.sentences):
+            begins = [False] * len(ids)
+            ends = [False] * len(ids)
+            for start, end in sentence.gold_spans:
+                begins[start] = ends[end - 1] = True
+            self.rows.append(tuple(shared.setdefault(row, row)
+                                   for row in zip(ids, begins, ends)))
 
-    def window_id(self, window: Iterable[Hashable]) -> int:
-        """The id of a window of features, interning it and its features
-        when new."""
+    def add_window(self, window: Iterable[Hashable]) -> int:
+        """Append a window of features, interning its features when new;
+        returns the window's id."""
         ids = []
         for feature in window:
             f = self._feature_ids.get(feature)
@@ -124,13 +118,10 @@ class WinnowIndex:
                 self.features.append(feature)
                 self.containing.append([])
             ids.append(f)
-        ids = tuple(ids)
-        w = self._window_ids.get(ids)
-        if w is None:
-            w = self._window_ids[ids] = len(self.windows)
-            self.windows.append(ids)
-            for f in ids:
-                self.containing[f].append(w)
+        w = len(self.windows)
+        self.windows.append(tuple(ids))
+        for f in ids:
+            self.containing[f].append(w)
         return w
 
 
@@ -296,11 +287,5 @@ def winnow_predict_interned(network: WinnowNetwork, windows: WindowIds
             for row in windows.sentences]
 
 
-def winnow_predict_corpus(network: WinnowNetwork, sentences: Iterable[Sentence]
-                          ) -> list[list[ChunkSpan]]:
-    """winnow_predict_interned over sentences interned by intern_windows."""
-    return winnow_predict_interned(network, intern_windows(sentences))
-
-
 def winnow_predict(network: WinnowNetwork, sentence: Sentence) -> list[ChunkSpan]:
-    return winnow_predict_corpus(network, (sentence,))[0]
+    return winnow_predict_interned(network, intern_windows((sentence,)))[0]

@@ -172,7 +172,7 @@ def test_07_winnow_mistake_bound_on_3_of_1000_disjunction():
     examples = [draw() for _ in range(3000)]
     # each example is its own window
     index = WinnowIndex()
-    rows = [(index.window_id(features), label) for features, label in examples]
+    rows = [(index.add_window(features), label) for features, label in examples]
     unit = WinnowUnit(threshold=1000.0, promotion=1.5, demotion=0.5)
     mistakes = 0
     for _ in range(10):

@@ -674,6 +674,36 @@ class TestCli:
         assert replay.returncode == 0, replay.stderr
         assert "recall=" in replay.stdout
 
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_printed_lines_match_the_reports(self, corpora, tmp_path, capsys, b):
+        # a B=1 run has no std: it prints std=NA, as summary.tsv holds NA
+        out = tmp_path / "out"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"master_seed=2\ntrain={corpora['train']}\ntest.a={corpora['a']}\n"
+            f"test.b={corpora['b']}\nB={b}\nsystems=mbsl:c=1;winnow\noutput_dir={out}\n"
+        )
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        stamp, header, *rows = (out / "summary.tsv").read_text().splitlines()
+        assert header == "system\ttest\tmethod\tn\tmean\tstd\te_full"
+        expected = [stamp.removeprefix("# ")]
+        for row in rows:
+            system, test, _, n, mean, std, e_full = row.split("\t")
+            expected.append(f"{system}\t{test}\tn={n}\tmean={mean}\tstd={std}\te_full={e_full}")
+        expected.append(f"reports written to {out}")
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == expected
+        assert len(printed) == 6
+        assert all(("\tstd=NA\t" in line) == (b == 1) for line in printed[1:-1])
+        # replay prints each run's recall and precision as runs.tsv holds them
+        assert cli.main(["replay", "--config", str(cfg), "--resample-id", "0"]) == 0
+        _, _, *runs = (out / "runs.tsv").read_text().splitlines()
+        runs = [row.split("\t") for row in runs]
+        expected = sorted(f"{system}\t{test}\trecall={recall}\tprecision={precision}"
+                          for system, test, rid, recall, precision, *_ in runs if rid == "0")
+        assert sorted(capsys.readouterr().out.splitlines()) == expected
+        assert len(expected) == 4
+
     def test_error_exit_code(self, tmp_path):
         result = self.run_cli("run", "--config", str(tmp_path / "missing.cfg"))
         assert result.returncode == 2

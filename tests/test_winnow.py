@@ -18,7 +18,6 @@ from npchunk.winnow import (
     decode_spans,
     intern_windows,
     winnow_predict,
-    winnow_predict_corpus,
     winnow_predict_interned,
     winnow_train,
     winnow_train_ids,
@@ -34,7 +33,7 @@ def train(unit, examples):
     """One pass over (features, label) examples, each example its own window;
     returns the number of mistakes."""
     index = WinnowIndex()
-    rows = [(index.window_id(features), label) for features, label in examples]
+    rows = [(index.add_window(features), label) for features, label in examples]
     return unit.train_rows(index, rows)
 
 
@@ -220,6 +219,15 @@ class TestCachedScores:
         # equal features are one object in the index
         held = _features_held(index)
         assert len(held) == len(set(held))
+        # windows are numbered as intern_windows numbers them, and each row
+        # is (window id, is_begin, is_end) of its token
+        interned = intern_windows(corpus.sentences)
+        assert [tuple(index.features[f] for f in w) for w in index.windows] == interned.features
+        assert index.rows == [
+            tuple((w, any(a == i for a, _ in s.gold_spans),
+                   any(b == i + 1 for _, b in s.gold_spans)) for i, w in enumerate(row))
+            for s, row in zip(corpus.sentences, interned.sentences)
+        ]
         indexed = winnow_train_ids(index, ids, config, PrngStream(seed))
         view = Corpus(tuple(corpus.sentences[i] for i in ids))
         fresh = winnow_train(view, config, PrngStream(seed))
@@ -260,7 +268,6 @@ class TestPredictCorpus:
             network = winnow_train(corpus, config, PrngStream(seed))
             expected = [_decoded(network, s) for s in test]
             assert winnow_predict_interned(network, windows) == expected
-            assert winnow_predict_corpus(network, test) == expected
             assert [winnow_predict(network, s) for s in test] == expected
 
 
