@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,19 @@ class TestConfig:
                 == make_config(copies["two"], "out").config_hash()
                 == make_config(corpora, "out").config_hash())
 
+    def test_corpus_lines_are_crc32_of_the_file_bytes(self, corpora):
+        lines = make_config(corpora, "out").canonical_text().splitlines()
+        for key, name in (("train", "train"), ("test.a", "a"), ("test.b", "b")):
+            assert f"{key}={zlib.crc32(Path(corpora[name]).read_bytes()):08x}" in lines
+
+    def test_crlf_copy_changes_the_hash(self, corpora, tmp_path):
+        # the same sentences in other bytes: the digest is of the bytes
+        crlf = tmp_path / "train.iob2"
+        crlf.write_bytes(Path(corpora["train"]).read_bytes().replace(b"\n", b"\r\n"))
+        assert read_corpus(crlf).sentences == read_corpus(corpora["train"]).sentences
+        assert (make_config({**corpora, "train": str(crlf)}, "out").config_hash()
+                != make_config(corpora, "out").config_hash())
+
     @pytest.mark.parametrize("key", ["master_seed", "B", "k", "repetitions", "workers"])
     def test_load_config_integer_value_names_key(self, tmp_path, key):
         cfg_path = tmp_path / "exp.cfg"
@@ -282,6 +296,20 @@ class TestRunExperiment:
         ]
         assert len(summary_rows) == 4  # 2 systems x 2 tests
         assert all(row[2] == "bootstrap-B3" for row in summary_rows)
+
+    @pytest.mark.parametrize("method", ["bootstrap", "cv"])
+    def test_plan_digests_are_crc32_of_the_plan_lines(self, corpora, tmp_path, method):
+        # a cv row's digest also covers its held-out fold, as "/<fold>"
+        config = make_config(corpora, tmp_path / "out", method=method, b=3, k=3,
+                             systems=(parse_system("mbsl:c=1"),))
+        run_experiment(config)
+        tasks = build_plans(config, read_corpus(corpora["train"]))
+        _, _, *rows = (tmp_path / "out" / "plans.tsv").read_text().splitlines()
+        assert len(rows) == len(tasks) == 3
+        for row, (rid, plan, held) in zip(rows, tasks):
+            line = plan.to_line() + ("" if held is None else f"/{held}")
+            row_id, _, digest, _ = row.split("\t")
+            assert (row_id, digest) == (str(rid), f"{zlib.crc32(line.encode()):08x}")
 
     def test_cv_sample_count(self, corpora, tmp_path):
         config = make_config(
@@ -456,7 +484,8 @@ class TestReplay:
         plans = tmp_path / "out" / "plans.tsv"
         lines = plans.read_text().splitlines()
         parts = lines[2].split("\t")
-        parts[2] = "0" * 16
+        # a wrong digest of the right width: its last hex digit flipped
+        parts[2] = parts[2][:-1] + f"{int(parts[2][-1], 16) ^ 1:x}"
         lines[2] = "\t".join(parts)
         plans.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match="digest mismatch"):
@@ -654,6 +683,23 @@ class TestCli:
             "-c", "import sys, npchunk.cli; print('concurrent.futures' in sys.modules)")
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\n"
+
+    def test_run_leaves_out_hashlib(self, corpora, tmp_path):
+        # the corpus and plan digests come from zlib; hashlib would load
+        # OpenSSL, about 3 MiB more peak RSS per run
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"master_seed=2\ntrain={corpora['train']}\ntest.a={corpora['a']}\n"
+            f"B=2\nsystems=mbsl:c=1;winnow\noutput_dir={tmp_path / 'out'}\n"
+        )
+        result = self.run_python("-c", (
+            "import sys; from npchunk import cli; "
+            "codes = [cli.main(['run', '--config', sys.argv[1]]), "
+            "cli.main(['replay', '--config', sys.argv[1], '--resample-id', '1'])]; "
+            "print(codes, sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+        ), str(cfg))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[0, 0] []"
 
     def test_gen_and_run_round_trip(self, tmp_path):
         train = tmp_path / "train.iob2"
