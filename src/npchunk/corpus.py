@@ -164,7 +164,11 @@ def read_corpus(path: str | Path) -> Corpus:
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write strict IOB2. read_corpus(write_corpus(c)) round-trips exactly."""
+    """Write strict IOB2. read_corpus(write_corpus(c)) round-trips exactly;
+    a sentence with no tokens, which IOB2 cannot hold, is a ValueError."""
+    for idx, sentence in enumerate(corpus.sentences):
+        if not sentence.words:
+            raise ValueError(f"{path}: sentence {idx} has no tokens, which IOB2 cannot hold")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         for idx, sentence in enumerate(corpus.sentences):
             if idx:
@@ -181,6 +185,7 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
 
 Pattern = tuple[str, ...]
 WeightedPattern = tuple[Pattern, float]
+WORDS_PER_POS = 20  # distinct synthetic words per POS tag
 
 
 @dataclass(frozen=True)
@@ -190,8 +195,8 @@ class GenreGrammar:
     A sentence is built as glue / NP alternation: for each of k NPs one glue
     pattern then one NP pattern are drawn by weight, with a final trailing
     glue pattern; k follows a min/max-bounded integer distribution with the
-    given mean. Words are synthesized from the POS tag plus a small index so
-    the word column stays format-compatible while carrying no signal.
+    given mean. Words are synthesized from the POS tag plus an index below
+    WORDS_PER_POS so the word column stays format-compatible, without signal.
     """
 
     name: str
@@ -200,7 +205,6 @@ class GenreGrammar:
     mean_nps: float
     min_nps: int = 0
     max_nps: int = 12
-    words_per_pos: int = 20
 
     def __post_init__(self):
         if not self.np_patterns or not self.glue_patterns:
@@ -244,7 +248,7 @@ def generate_corpus(grammar: GenreGrammar, n_sentences: int, rng: PrngStream) ->
 
         def emit(pattern: Pattern) -> None:
             for pos in pattern:
-                words.append(f"{pos.lower()}{rng.next_below(grammar.words_per_pos)}")
+                words.append(f"{pos.lower()}{rng.next_below(WORDS_PER_POS)}")
             tags.extend(pattern)
 
         for _ in range(k):

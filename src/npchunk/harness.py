@@ -6,8 +6,9 @@ each trained model on every test corpus, and aggregates recall
 distributions. Output is a set of TSV files; given a fixed config (seed
 included) they are byte-identical across runs and across worker counts.
 
-The training corpus is indexed and every test corpus interned once per
-experiment, before any worker starts. A run makes no reference cycles, so
+The training corpus is indexed, its MBSL tile maps made and every test
+corpus interned once per experiment, before any worker starts; e_full's
+training is one more task. A run makes no reference cycles, so
 run_experiment keeps the cyclic garbage collector off while it runs.
 """
 
@@ -204,8 +205,9 @@ _CONFIG_KEYS = (
 def load_config(path: str | Path, overrides: Sequence[str] = ()) -> ExperimentConfig:
     """Flat key=value config file plus command-line overrides.
 
-    Unknown keys, keys repeated within the file and values containing `#` are
-    errors; an override replaces the file's value.
+    Unknown keys, keys repeated within the file, empty values and values
+    containing `#` are errors naming the line or override and the key; an
+    override replaces the file's value.
     """
     entries: dict[str, str] = {}
 
@@ -216,7 +218,9 @@ def load_config(path: str | Path, overrides: Sequence[str] = ()) -> ExperimentCo
                 f"{where}: unknown config key {key!r} (known: {known}, test.<label>)"
             )
         if key == "test.":
-            raise ConfigError("test corpus label must be non-empty")
+            raise ConfigError(f"{where}: test corpus label must be non-empty")
+        if not value:
+            raise ConfigError(f"{where}: config key {key!r} has an empty value")
         if "#" in value:
             raise ConfigError(f"{where}: config key {key!r}: '#' in value {value!r} "
                               "(a comment needs a line of its own)")
@@ -311,11 +315,12 @@ def _fmt(value) -> str:
 
 
 class _Experiment:
-    """One config's corpora, resolved systems, training indexes, interned
-    test corpora, resampling tasks and plan digests.
+    """One config's corpora, resolved systems, training indexes and MBSL
+    tile maps, interned test corpora, resampling tasks and plan digests.
 
-    `run` and `replay` each build one; every resample, and the full-corpus
-    training behind e_full, goes through run_resample.
+    `run` and `replay` each build one, and no task adds to it. Every
+    resample, and the full-corpus training behind e_full, goes through
+    run_resample.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -334,9 +339,12 @@ class _Experiment:
         self.tasks = build_plans(config, self.train)
         self.systems = tuple((spec, spec.build()) for spec in config.systems)
         # interned once, before any worker starts, for every training: one
-        # MBSL index at the longest tile length serves every MBSL system
-        lengths = [cfg.max_tile_len for spec, cfg in self.systems if spec.kind == "mbsl"]
-        self.mbsl_index = mbsl.MbslIndex(self.train, max(lengths)) if lengths else None
+        # MBSL index at the longest tile length, with every MBSL system's tile map
+        mbsl_cfgs = [cfg for spec, cfg in self.systems if spec.kind == "mbsl"]
+        self.mbsl_index = (mbsl.MbslIndex(self.train, max(c.max_tile_len for c in mbsl_cfgs))
+                           if mbsl_cfgs else None)
+        for cfg in mbsl_cfgs:
+            self.mbsl_index.tile_map(cfg.context_size, cfg.max_tile_len)
         self.winnow_index = (
             winnow.WinnowIndex(self.train)
             if any(spec.kind == "winnow" for spec in config.systems) else None
@@ -390,20 +398,23 @@ class _Experiment:
         return results
 
     def run_all(self) -> list[dict[tuple[str, str], RunMetrics]]:
-        """run_resample for every task, in task order."""
-        if self.config.workers == 1 or len(self.tasks) <= 1:
-            return [self.run_resample(task) for task in self.tasks]
+        """run_resample for the full-corpus task (0, None, None), then for
+        every task in task order. The full task trains on every sentence, so
+        it goes first, and a pool does not end waiting on it."""
+        tasks = [(0, None, None), *self.tasks]
+        if self.config.workers == 1:
+            return [self.run_resample(task) for task in tasks]
         import concurrent.futures  # here, so that only a pooled run imports it
 
         # Workers get the experiment once, as an initializer argument, so
         # the corpora are not shipped again with every task. A worker per
         # task at most: a forking pool starts all of them at once.
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(self.config.workers, len(self.tasks)),
+            max_workers=min(self.config.workers, len(tasks)),
             initializer=_init_worker,
             initargs=(self,),
         ) as pool:
-            return list(pool.map(_run_in_worker, self.tasks, chunksize=1))
+            return list(pool.map(_run_in_worker, tasks, chunksize=1))
 
 
 # Set only inside pool worker processes, by _init_worker.
@@ -438,14 +449,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 def _run_experiment(config: ExperimentConfig) -> ExperimentReport:
     experiment = _Experiment(config)
-    # full-training point estimate E(.), first: pool workers get the MBSL tile
-    # maps it builds, inherited by fork or pickled with the experiment
-    e_full = {
-        key: metrics.recall
-        for key, metrics in experiment.run_resample((0, None, None)).items()
-    }
+    full, *resamples = experiment.run_all()
+    e_full = {key: metrics.recall for key, metrics in full.items()}
     run_metrics: dict[tuple[str, str], list[RunMetrics]] = defaultdict(list)
-    for results in experiment.run_all():
+    for results in resamples:
         for key, metrics in results.items():
             run_metrics[key].append(metrics)
 

@@ -32,7 +32,7 @@ once over the trie; it is shared by every context size and tile length.
 The profile at a shorter tile length L is the longer one's keys of at most
 L tags, with the same counts, so one index at the longest tile length
 serves them all. Per context size and tile length the index lists the
-tiles once, sorted, and each key's positive and yielded tile ids, running
+tiles once, and each key's positive and yielded tile ids, running
 the tile rule once per border layout (length, opens, closes); training
 (mbsl_train_counts) pushes the counts to tile ids and keeps the tiles some
 counted key yields.
@@ -176,7 +176,7 @@ class ProfileCounts(NamedTuple):
 class _TileMap(NamedTuple):
     """An MbslIndex's tiles at one context size, in table order."""
 
-    tiles: list[Tile]  # sorted, so a tile's id is its rank
+    tiles: list[Tile]  # in order of first yield; a tile's id is its place here
     tile_seq: list[int]  # tile id -> seq id
     positive: list[tuple[int, ...]]  # key id -> ids of the tiles it is positive for
     yields: list[tuple[int, ...]]  # key id -> ids of the tiles _window_tiles gives
@@ -228,15 +228,15 @@ class MbslIndex:
     keys[k] is a profile key (seq, opens, closes), parent[k] the id of its
     parent (-1 for a one-step key), key_seq[k] the id of its seq, seqs[i]
     the seq of id i, seq_parent[i] the id of seqs[i][:-1] (-1 for a one-tag
-    seq), and seq_order the seq ids sorted by seq (seq_rank[i] is i's place
-    in it). Equal opens or closes tuples of the keys are one object, through
+    seq). Equal opens or closes tuples of the keys are one object, through
     a dict local to the build. ends[s] holds, per start of sentence s, the
     key id of the longest window there, max_np[s] its longest gold NP, and
     full[k] how many starts of all the sentences end at key k, from which
     counts(ids) starts.
     The index is the only store of these profiles, and nothing is kept
     between experiments. tile_map(c, max_tile_len) lists the tiles the keys
-    yield at context size c and that tile length, built on first use.
+    yield at context size c and that tile length, made on the first call and
+    kept; an experiment makes its tile maps before any training.
     """
 
     def __init__(self, corpus: Corpus, max_tile_len: int):
@@ -306,10 +306,6 @@ class MbslIndex:
                 closes = marks.setdefault(closes, closes)
             self.key_seq.append(s)
             self.keys.append((self.seqs[s], opens, closes))
-        self.seq_order = sorted(range(len(self.seqs)), key=self.seqs.__getitem__)
-        self.seq_rank = [0] * len(self.seqs)  # seq id -> its seq's place in sorted order
-        for r, s in enumerate(self.seq_order):
-            self.seq_rank[s] = r
         self._tile_maps: dict[tuple[int, int], _TileMap] = {}
 
     def counts(self, ids: Iterable[int]) -> ProfileCounts:
@@ -373,9 +369,10 @@ class MbslIndex:
         closes), so the rule runs once per layout, and so does the choice of
         the marks a key is positive for: a tile's one opening and one
         closing mark, each absent or among the key's. A tile is coded as
-        (rank of its seq) * len(marks) + (rank of its marks): sorting the
-        codes sorts the tiles by (seq, opens, closes), as sorting the Tiles
-        themselves does.
+        (its seq id) * len(marks) + (rank of its marks), and numbered in the
+        order the keys, by id, first yield it. No output reads that order:
+        prediction keeps the best score per border, and selects spans by a
+        total order.
         """
         tile_map = self._tile_maps.get((c, max_tile_len))
         if tile_map is None:
@@ -383,43 +380,31 @@ class MbslIndex:
             marks = list(product(single, single))  # (tile opens, tile closes), sorted
             mark_rank = {mark: r for r, mark in enumerate(marks)}
             width = len(marks)
-            rules: dict[tuple, tuple[list[int], list[int]]] = {}  # layout -> mark ranks
-            # key id -> (rank of its seq * width, its layout's rule); -1 if it is too long
-            key_rules = []
-            codes: set[int] = set()
+            # layout -> the mark ranks of the tiles it yields and of those it
+            # is positive for; none for a key longer than max_tile_len
+            rules: dict[tuple, tuple[list[int], list[int]]] = {}
+            ids: dict[int, int] = {}  # tile code -> tile id, in order of first yield
+            yields = []
+            carried = []  # key id -> (its seq id * width, the mark ranks it carries)
             for (seq, opens, closes), s in zip(self.keys, self.key_seq):
-                if len(seq) > max_tile_len:
-                    key_rules.append((-1, None))
-                    continue
                 layout = (len(seq), opens, closes)
                 rule = rules.get(layout)
                 if rule is None:
-                    rule = rules[layout] = (
+                    rule = rules[layout] = ([], []) if len(seq) > max_tile_len else (
                         [mark_rank[tile[1:]] for tile in _window_tiles(seq, opens, closes, c)],
                         [r for r, (o, m) in enumerate(marks) if (o or m)
                          and (not o or o[0] in opens) and (not m or m[0] in closes)],
                     )
-                base = self.seq_rank[s] * width
-                key_rules.append((base, rule))
-                codes.update([base + r for r in rule[0]])
-            order = sorted(codes)
-            ids = {code: t for t, code in enumerate(order)}
-            tiled = {code - code % width for code in order}  # bases of the seqs with tiles
-            tile_seq = [self.seq_order[code // width] for code in order]
-            positive = []
-            yields = []
-            for base, rule in key_rules:
-                if base not in tiled:
-                    positive.append(())
-                    yields.append(())
-                    continue
-                yielded, carried = rule
-                yields.append(tuple([ids[base + r] for r in yielded]))
-                positive.append(tuple([t for t in map(ids.get, [base + r for r in carried])
-                                       if t is not None]))
+                base = s * width
+                yields.append(tuple([ids.setdefault(base + r, len(ids)) for r in rule[0]]))
+                carried.append((base, rule[1]))
+            tiled = {code - code % width for code in ids}  # bases of the seqs with tiles
+            positive = [tuple([t for t in map(ids.get, [base + r for r in ranks])
+                               if t is not None]) if base in tiled else ()
+                        for base, ranks in carried]
             tile_map = self._tile_maps[(c, max_tile_len)] = _TileMap(
-                [Tile(self.seqs[s], *marks[code % width]) for s, code in zip(tile_seq, order)],
-                tile_seq,
+                [Tile(self.seqs[code // width], *marks[code % width]) for code in ids],
+                [code // width for code in ids],
                 positive,
                 yields,
             )

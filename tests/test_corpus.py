@@ -157,6 +157,16 @@ class TestIob2Io:
         write_corpus(Corpus(()), path)
         assert path.read_text() == ""
 
+    def test_write_rejects_sentence_without_tokens(self, tmp_path):
+        # IOB2 cannot hold it: the file would read back one sentence short
+        full = sent([("the", "DT"), ("dog", "NN")], [(0, 2)])
+        path = tmp_path / "out.iob2"
+        path.write_text("kept\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: sentence 1 has no tokens, which IOB2 cannot hold")):
+            write_corpus(Corpus((full, sent([], []), full)), path)
+        assert path.read_text() == "kept\n"  # checked before the file is opened
+
     def test_round_trip_generated_corpora(self, tmp_path):
         for seed, grammar in enumerate((WSJ_LIKE, ATIS_LIKE)):
             corpus = generate_corpus(grammar, 60, derive_stream(seed, "rt", 7))

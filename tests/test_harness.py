@@ -211,6 +211,38 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"config key '{key}'"):
             load_config(cfg_path, overrides=[f"{key}={value}"])
 
+    @pytest.mark.parametrize("key", [
+        "master_seed", "train", "method", "B", "k", "repetitions", "systems",
+        "output_dir", "workers", "test.a",
+    ])
+    def test_load_config_empty_value_names_key(self, tmp_path, key):
+        # `output_dir=` would write the reports into the working directory,
+        # and `train=` or `test.a=` fail as a bare OSError on ''
+        entries = {"master_seed": "1", "train": "t.iob2", "test.a": "a.iob2",
+                   "method": "bootstrap", "B": "2", "systems": "mbsl:c=1"}
+        cfg_path = tmp_path / "exp.cfg"
+        bad = {**entries, key: ""}
+        cfg_path.write_text("".join(f"{k}={v}\n" for k, v in bad.items()))
+        line_no = list(bad).index(key) + 1
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{cfg_path}:{line_no}: config key {key!r} has an empty value")):
+            load_config(cfg_path)
+        cfg_path.write_text("".join(f"{k}={v}\n" for k, v in entries.items()))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"override '{key}= ': config key {key!r} has an empty value")):
+            load_config(cfg_path, overrides=[f"{key}= "])
+
+    def test_load_config_empty_test_label_names_line(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("master_seed=1\ntest.=a.iob2\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{cfg_path}:2: test corpus label must be non-empty")):
+            load_config(cfg_path)
+        cfg_path.write_text("master_seed=1\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                "override 'test.=a.iob2': test corpus label must be non-empty")):
+            load_config(cfg_path, overrides=["test.=a.iob2"])
+
     def test_load_config_overrides(self, corpora, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(
@@ -353,16 +385,14 @@ class TestRunExperiment:
             assert experiment.mbsl_index.max_tile_len == length
 
     def test_worker_count_does_not_change_bytes(self, corpora, tmp_path, monkeypatch):
-        cfg1 = make_config(
-            corpora, tmp_path / "w1", systems=(parse_system("winnow"),), workers=1
-        )
-        cfg2 = make_config(
-            corpora, tmp_path / "w2", systems=(parse_system("winnow"),), workers=2
-        )
+        systems = tuple(parse_system(spec) for spec in ("mbsl:c=1", "mbsl:c=3", "winnow"))
+        cfg1 = make_config(corpora, tmp_path / "w1", systems=systems, workers=1)
+        cfg2 = make_config(corpora, tmp_path / "w2", systems=systems, workers=2)
         run_experiment(cfg1)
         run_experiment(cfg2)
         # forkserver, the default start method on Linux from Python 3.14,
-        # pickles the whole experiment to each worker
+        # pickles the whole experiment to each worker, tile maps included,
+        # and e_full is trained in a worker
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
             concurrent.futures.ProcessPoolExecutor,
             mp_context=multiprocessing.get_context("forkserver"),
@@ -396,8 +426,22 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "_worker_experiment", None)
         serial = run_experiment(make_config(corpora, tmp_path / "w1", b=3))
         pooled = run_experiment(make_config(corpora, tmp_path / "w8", b=3, workers=8))
-        assert asked == [3]
+        assert asked == [4]  # three resamples and the full-corpus task
         assert pooled.samples == serial.samples
+        assert pooled.e_full == serial.e_full
+
+    def test_tasks_leave_tile_maps_as_built(self, corpora, tmp_path):
+        # the experiment is complete when built: every task, e_full's
+        # included, trains from the tile maps __init__ made
+        config = make_config(corpora, tmp_path / "out", systems=tuple(
+            parse_system(spec) for spec in ("mbsl:c=1", "mbsl:c=3,max_tile_len=4", "winnow")))
+        experiment = harness._Experiment(config)
+        tile_maps = experiment.mbsl_index._tile_maps
+        built = dict(tile_maps)
+        assert set(built) == {(1, 6), (3, 4)}
+        assert len(experiment.run_all()) == 1 + len(experiment.tasks)
+        assert tile_maps.keys() == built.keys()
+        assert all(tile_maps[key] is tile_map for key, tile_map in built.items())
 
     def test_parent_keeps_no_worker_state(self, corpora, tmp_path):
         for workers in (1, 2):
@@ -754,6 +798,17 @@ class TestCli:
         result = self.run_cli("run", "--config", str(tmp_path / "missing.cfg"))
         assert result.returncode == 2
         assert "error:" in result.stderr
+
+    def test_empty_output_dir_fails_and_writes_nothing(self, corpora, tmp_path, capsys,
+                                                       monkeypatch):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"master_seed=2\ntrain={corpora['train']}\ntest.a={corpora['a']}\n"
+                       "B=2\nsystems=mbsl:c=1\n")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "--config", str(cfg), "output_dir="]) == 2
+        assert capsys.readouterr() == ("", "error: override 'output_dir=': config key "
+                                           "'output_dir' has an empty value\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
     @pytest.mark.parametrize("args", [
         lambda cfg, d: ["run", "--config", d],
