@@ -385,7 +385,7 @@ class MbslIndex:
             rules: dict[tuple, tuple[list[int], list[int]]] = {}
             ids: dict[int, int] = {}  # tile code -> tile id, in order of first yield
             yields = []
-            carried = []  # key id -> (its seq id * width, the mark ranks it carries)
+            carried = []  # key id -> its layout's positive mark ranks, one shared list
             for (seq, opens, closes), s in zip(self.keys, self.key_seq):
                 layout = (len(seq), opens, closes)
                 rule = rules.get(layout)
@@ -397,11 +397,11 @@ class MbslIndex:
                     )
                 base = s * width
                 yields.append(tuple([ids.setdefault(base + r, len(ids)) for r in rule[0]]))
-                carried.append((base, rule[1]))
-            tiled = {code - code % width for code in ids}  # bases of the seqs with tiles
-            positive = [tuple([t for t in map(ids.get, [base + r for r in ranks])
-                               if t is not None]) if base in tiled else ()
-                        for base, ranks in carried]
+                carried.append(rule[1])
+            tiled = {code // width for code in ids}  # ids of the seqs with tiles
+            positive = [tuple([t for t in map(ids.get, [s * width + r for r in ranks])
+                               if t is not None]) if s in tiled else ()
+                        for s, ranks in zip(self.key_seq, carried)]
             tile_map = self._tile_maps[(c, max_tile_len)] = _TileMap(
                 [Tile(self.seqs[code // width], *marks[code % width]) for code in ids],
                 [code // width for code in ids],

@@ -11,23 +11,25 @@ positive. An active feature is allocated at weight 1 the first time it
 appears in training; features never seen in training contribute nothing at
 prediction time.
 
+intern_windows numbers each distinct padded 3-tag window and each distinct
+feature once, in order of first occurrence: a window is the tuple of its
+feature ids, and a sentence its windows' ids. Training and prediction both
+read that one table, and sum a window's weights left to right in _features
+order from 0.0.
+
 Training runs over a WinnowIndex, built once per training corpus from
-intern_windows: each distinct window becomes a tuple of feature ids, with
-the window ids intern_windows gives, and each sentence becomes (window
-id, is_begin, is_end) rows. A resample is a list of
+intern_windows, which adds the windows that contain each feature and each
+sentence's (window id, is_begin, is_end) rows. A resample is a list of
 sentence ids. Every epoch's order is drawn first, then each unit makes one
 pass over the rows with list weights, keeping each window's score until a
 mistake updates one of its features. The score is then summed again in the
 same feature order, so the weights are the ones a per-example
 dict-and-setdefault rule gives, to the bit.
 
-Prediction runs over sentences interned by intern_windows: each distinct
-padded 3-tag window gets an id and its features are built once, equal
-features of different windows being one object, and each sentence becomes
-its windows' ids. An experiment interns each test corpus
-once for all its trainings. winnow_predict_interned decides each distinct
-window once per call; the decisions are kept only for that call, so no
-other network, and no network trained further, is read through them.
+An experiment interns each test corpus once for all its trainings.
+winnow_predict_interned decides each distinct window once per call; the
+decisions are kept only for that call, so no other network, and no network
+trained further, is read through them.
 Nothing here makes a reference cycle, which lets run_experiment keep the
 cyclic garbage collector off: its passes would only walk the index, the
 weights and the interned windows.
@@ -39,7 +41,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import ChunkSpan, Corpus, Sentence
 from .resample import PrngStream
@@ -78,26 +80,24 @@ def _features(window: tuple[str, str, str]) -> tuple[Feature, ...]:
 
 
 class WinnowIndex:
-    """Feature windows interned once, so training runs over integer ids.
+    """A training corpus interned once, so training runs over integer ids.
 
-    features[f] is the feature with id f; windows[w] holds the feature ids
-    of window w, in _features order; containing[f] holds the
-    ids of the windows that contain feature f. Built from a corpus, windows
-    are numbered as intern_windows numbers them, and rows[s] holds one
-    (window id, is_begin, is_end) row per token of sentence s.
+    features and windows are intern_windows' tables for the corpus:
+    features[f] is the feature with id f, and windows[w] holds the feature
+    ids of window w, in _features order. containing[f] holds the ids of the
+    windows that contain feature f, and rows[s] holds one (window id,
+    is_begin, is_end) row per token of sentence s.
     """
 
-    def __init__(self, corpus: Corpus | None = None):
-        self.features: list[Hashable] = []
-        self.windows: list[tuple[int, ...]] = []
-        self.containing: list[list[int]] = []
-        self.rows: list[tuple[tuple[int, bool, bool], ...]] = []
-        self._feature_ids: dict = {}
-        if corpus is None:
-            return
+    def __init__(self, corpus: Corpus):
         interned = intern_windows(corpus.sentences)
-        for window in interned.features:
-            self.add_window(window)
+        self.features = interned.features
+        self.windows = interned.windows
+        self.containing: list[list[int]] = [[] for _ in self.features]
+        for w, ids in enumerate(self.windows):
+            for f in ids:
+                self.containing[f].append(w)
+        self.rows: list[tuple[tuple[int, bool, bool], ...]] = []
         shared: dict = {}  # equal rows share one tuple
         for sentence, ids in zip(corpus.sentences, interned.sentences):
             begins = [False] * len(ids)
@@ -106,23 +106,6 @@ class WinnowIndex:
                 begins[start] = ends[end - 1] = True
             self.rows.append(tuple(shared.setdefault(row, row)
                                    for row in zip(ids, begins, ends)))
-
-    def add_window(self, window: Iterable[Hashable]) -> int:
-        """Append a window of features, interning its features when new;
-        returns the window's id."""
-        ids = []
-        for feature in window:
-            f = self._feature_ids.get(feature)
-            if f is None:
-                f = self._feature_ids[feature] = len(self.features)
-                self.features.append(feature)
-                self.containing.append([])
-            ids.append(f)
-        w = len(self.windows)
-        self.windows.append(tuple(ids))
-        for f in ids:
-            self.containing[f].append(w)
-        return w
 
 
 class WinnowUnit:
@@ -177,14 +160,6 @@ class WinnowUnit:
             (feature, x) for feature, x in zip(features, weights) if x is not None
         )
         return mistakes
-
-    def decide(self, features: Iterable[Hashable]) -> bool:
-        """Prediction-time decision; unseen features contribute 0."""
-        get = self.weights.get
-        score = 0.0
-        for f in features:
-            score += get(f, 0.0)
-        return score >= self.threshold
 
 
 @dataclass
@@ -245,19 +220,21 @@ def decode_spans(begin_decisions: Sequence[bool], end_decisions: Sequence[bool]
 
 
 class WindowIds(NamedTuple):
-    """Sentences as ids of their padded 3-tag windows (intern_windows)."""
+    """Sentences as ids of their padded 3-tag windows, and windows as ids of
+    their features (intern_windows)."""
 
-    features: list[tuple[Feature, ...]]  # window id -> its features
+    features: list[Feature]  # feature id -> feature
+    windows: list[tuple[int, ...]]  # window id -> its feature ids, in _features order
     sentences: list[array]  # sentence -> the window id at each position
 
 
 def intern_windows(sentences: Iterable[Sentence]) -> WindowIds:
     """Each distinct padded 3-tag window of sentences, numbered in order of
-    first occurrence, with its features built once; equal features of
-    different windows are one object."""
+    first occurrence, as the ids of its features; each distinct feature is
+    numbered in order of first occurrence too, when its first window is."""
     ids: dict = {}  # padded 3-tag window -> window id
-    seen: dict = {}  # feature -> its one object
-    features = []
+    feature_ids: dict = {}  # feature -> feature id
+    windows = []
     interned = []
     for sentence in sentences:
         padded = (BOS, *sentence.pos_tags, EOS)
@@ -266,23 +243,35 @@ def intern_windows(sentences: Iterable[Sentence]) -> WindowIds:
             window = padded[i:i + 3]
             w = ids.get(window)
             if w is None:
-                w = ids[window] = len(features)
-                window_features = _features(window)
-                features.append(tuple(map(seen.setdefault, window_features, window_features)))
+                w = ids[window] = len(windows)
+                windows.append(tuple([feature_ids.setdefault(feature, len(feature_ids))
+                                      for feature in _features(window)]))
             row.append(w)
         interned.append(row)
-    return WindowIds(features, interned)
+    return WindowIds(list(feature_ids), windows, interned)
 
 
 def winnow_predict_interned(network: WinnowNetwork, windows: WindowIds
                             ) -> list[list[ChunkSpan]]:
     """The spans network predicts for each sentence of windows, in order.
 
-    Each distinct window is decided once per call, and the decisions are
+    Each unit reads its weight of each distinct feature once, an unseen
+    feature weighing 0, and decides each distinct window once, summing
+    left to right in _features order as train_rows does. The decisions are
     not kept, so they never outlive the weights they were read from.
     """
-    begins = list(map(network.begin_unit.decide, windows.features))
-    ends = list(map(network.end_unit.decide, windows.features))
+    decisions = []
+    for unit in (network.begin_unit, network.end_unit):
+        get = unit.weights.get
+        weights = [get(feature, 0.0) for feature in windows.features]
+        decided = []
+        for ids in windows.windows:
+            score = 0.0
+            for f in ids:
+                score += weights[f]
+            decided.append(score >= unit.threshold)
+        decisions.append(decided)
+    begins, ends = decisions
     return [decode_spans([begins[w] for w in row], [ends[w] for w in row])
             for row in windows.sentences]
 

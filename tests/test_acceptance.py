@@ -21,7 +21,7 @@ from npchunk.evalstats import RecallSamples, compare_paired, summarize
 from npchunk.harness import ExperimentConfig, parse_system, run_experiment
 from npchunk.mbsl import MbslConfig, mbsl_predict, mbsl_train
 from npchunk.resample import PrngStream, derive_stream, plan_bootstrap, plan_cv
-from npchunk.winnow import WinnowIndex, WinnowUnit
+from npchunk.winnow import WinnowUnit
 
 MASTER_SEED = 27
 
@@ -161,7 +161,7 @@ def test_06_memory_tiler_closes_over_deterministic_grammar():
         assert recalled == total
 
 
-def test_07_winnow_mistake_bound_on_3_of_1000_disjunction():
+def test_07_winnow_mistake_bound_on_3_of_1000_disjunction(example_index, decide):
     rng = PrngStream(99)
     relevant = (3, 141, 998)
 
@@ -170,19 +170,17 @@ def test_07_winnow_mistake_bound_on_3_of_1000_disjunction():
         return features, any(r in features for r in relevant)
 
     examples = [draw() for _ in range(3000)]
-    # each example is its own window
-    index = WinnowIndex()
-    rows = [(index.add_window(features), label) for features, label in examples]
+    index = example_index(examples)  # each example is its own window
     unit = WinnowUnit(threshold=1000.0, promotion=1.5, demotion=0.5)
     mistakes = 0
     for _ in range(10):
-        pass_mistakes = unit.train_rows(index, rows)
+        pass_mistakes = unit.train_rows(index, index.rows)
         mistakes += pass_mistakes
         if pass_mistakes == 0:
             break
     assert mistakes <= 60
     fresh_errors = sum(
-        unit.decide(features) != label
+        decide(unit, features) != label
         for features, label in (draw() for _ in range(1000))
     )
     assert fresh_errors == 0

@@ -13,6 +13,7 @@ from npchunk.winnow import (
     EOS,
     WinnowConfig,
     WinnowIndex,
+    WinnowNetwork,
     WinnowUnit,
     _features,
     decode_spans,
@@ -27,14 +28,6 @@ from npchunk.winnow import (
 def sent(tags, spans=()):
     words = tuple(f"w{i}" for i in range(len(tags)))
     return Sentence(words, tuple(tags), tuple(ChunkSpan(a, b) for a, b in spans))
-
-
-def train(unit, examples):
-    """One pass over (features, label) examples, each example its own window;
-    returns the number of mistakes."""
-    index = WinnowIndex()
-    rows = [(index.add_window(features), label) for features, label in examples]
-    return unit.train_rows(index, rows)
 
 
 def window_features(tags):
@@ -75,27 +68,37 @@ class TestFeatures:
 
 
 class TestUnit:
-    def test_single_step_demotion(self):
+    @pytest.fixture
+    def train(self, example_index):
+        def train(unit, examples):
+            """One pass over (features, label) examples, each example its own
+            window; returns the number of mistakes."""
+            index = example_index(examples)
+            return unit.train_rows(index, index.rows)
+
+        return train
+
+    def test_single_step_demotion(self, train):
         unit = WinnowUnit(threshold=6.0, promotion=1.5, demotion=0.5)
         feats = [("f", i) for i in range(6)]
         # all-ones weights for 6 active features score 6 >= theta -> positive
         assert train(unit, [(feats, False)]) == 1
         assert all(unit.weights[f] == 0.5 for f in feats)
 
-    def test_promotion_on_false_negative(self):
+    def test_promotion_on_false_negative(self, train):
         unit = WinnowUnit(threshold=6.0, promotion=1.5, demotion=0.5)
         feats = [("f", 0)]
         assert train(unit, [(feats, True)]) == 1
         assert unit.weights[("f", 0)] == 1.5
 
-    def test_no_update_when_correct(self):
+    def test_no_update_when_correct(self, train):
         # a correct example allocates active features at 1 but does not
         # promote or demote them
         unit = WinnowUnit(threshold=6.0, promotion=1.5, demotion=0.5)
         assert train(unit, [([("f", 0)], False)]) == 0
         assert unit.weights == {("f", 0): 1.0}
 
-    def test_weights_stay_positive(self):
+    def test_weights_stay_positive(self, train):
         unit = WinnowUnit(threshold=2.0, promotion=1.5, demotion=0.5)
         rng = PrngStream(4)
         examples = []
@@ -105,7 +108,7 @@ class TestUnit:
         train(unit, examples)
         assert all(w > 0 for w in unit.weights.values())
 
-    def test_decision_invariant_under_scaling(self):
+    def test_decision_invariant_under_scaling(self, train, decide):
         unit = WinnowUnit(threshold=3.0, promotion=1.5, demotion=0.5)
         rng = PrngStream(5)
         examples = []
@@ -117,9 +120,9 @@ class TestUnit:
         scaled.weights = {f: w * 7.0 for f, w in unit.weights.items()}
         for probe in range(50):
             feats = [("f", (probe + d) % 8) for d in range(3)]
-            assert unit.decide(feats) == scaled.decide(feats)
+            assert decide(unit, feats) == decide(scaled, feats)
 
-    def test_mistake_bound_on_monotone_disjunction(self):
+    def test_mistake_bound_on_monotone_disjunction(self, train):
         # 3-relevant-of-1000 monotone disjunction; see also the acceptance suite
         unit = WinnowUnit(threshold=1000.0, promotion=1.5, demotion=0.5)
         rng = PrngStream(99)
@@ -219,10 +222,19 @@ class TestCachedScores:
         # equal features are one object in the index
         held = _features_held(index)
         assert len(held) == len(set(held))
-        # windows are numbered as intern_windows numbers them, and each row
-        # is (window id, is_begin, is_end) of its token
+        # the index holds intern_windows' tables, which give each token its
+        # window's features and hold each distinct window and feature once;
+        # containing is their inverse, and each row is (window id, is_begin,
+        # is_end) of its token
         interned = intern_windows(corpus.sentences)
-        assert [tuple(index.features[f] for f in w) for w in index.windows] == interned.features
+        assert (index.features, index.windows) == (interned.features, interned.windows)
+        assert [[tuple(index.features[f] for f in index.windows[w]) for w in row]
+                for row in interned.sentences] == [window_features(s.pos_tags)
+                                                   for s in corpus.sentences]
+        assert len(set(index.windows)) == len(index.windows)
+        assert len(set(index.features)) == len(index.features)
+        assert index.containing == [[w for w, ids in enumerate(index.windows) if f in ids]
+                                    for f in range(len(index.features))]
         assert index.rows == [
             tuple((w, any(a == i for a, _ in s.gold_spans),
                    any(b == i + 1 for _, b in s.gold_spans)) for i, w in enumerate(row))
@@ -236,11 +248,11 @@ class TestCachedScores:
             assert [_hex(u) for u in units] == [_hex(u) for u in expected]
 
 
-def _decoded(network, sentence):
+def _decoded(decide, network, sentence):
     """decode_spans over each position's decisions, window by window."""
     windows = window_features(sentence.pos_tags)
-    return decode_spans([network.begin_unit.decide(f) for f in windows],
-                        [network.end_unit.decide(f) for f in windows])
+    return decode_spans([decide(network.begin_unit, f) for f in windows],
+                        [decide(network.end_unit, f) for f in windows])
 
 
 _CONFIGS = st.builds(WinnowConfig, st.floats(1.05, 3.0), st.floats(0.05, 0.95),
@@ -255,7 +267,7 @@ class TestPredictCorpus:
         configs=st.tuples(_CONFIGS, _CONFIGS),
         seeds=st.tuples(*[st.integers(0, 2**64 - 1)] * 2),
     )
-    def test_equals_per_position_decisions(self, sentences, probes, configs, seeds):
+    def test_equals_per_position_decisions(self, decide, sentences, probes, configs, seeds):
         # three tags, so the sentences share windows; empty ones are drawn too
         corpus = Corpus(tuple(_sentence(tokens) for tokens in sentences))
         test = list(corpus.sentences) + [sent(tags) for tags in probes]
@@ -266,9 +278,25 @@ class TestPredictCorpus:
         for config, seed in zip(configs, seeds):
             # two networks in turn: no decision may carry over from the other
             network = winnow_train(corpus, config, PrngStream(seed))
-            expected = [_decoded(network, s) for s in test]
+            expected = [_decoded(decide, network, s) for s in test]
             assert winnow_predict_interned(network, windows) == expected
             assert [winnow_predict(network, s) for s in test] == expected
+
+    def test_window_score_sums_left_to_right(self):
+        # 1.0 + 1e-16 + 1e-16 is 1.0 summed left to right, but
+        # 1.0000000000000002 by a compensated sum (built-in sum() on
+        # Python >= 3.12); the begin unit decides "no" only for the former
+        sentence = sent(["NN"])
+        features = window_features(sentence.pos_tags)[0]
+        config = WinnowConfig()
+        begin = WinnowUnit(1.0000000000000002, config.promotion, config.demotion)
+        begin.weights = dict(zip(features, (1.0, 1e-16, 1e-16)))
+        end = WinnowUnit(1.0, config.promotion, config.demotion)
+        end.weights = {features[0]: 1.0}
+        network = WinnowNetwork(begin, end, config)
+        assert winnow_predict(network, sentence) == []
+        begin.threshold = 1.0
+        assert winnow_predict(network, sentence) == [ChunkSpan(0, 1)]
 
 
 class TestTrainPredict:
