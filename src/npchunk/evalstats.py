@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .corpus import ChunkSpan, Corpus
 
@@ -78,12 +78,20 @@ def score_run(gold: Corpus, predicted: Sequence[Sequence[ChunkSpan]]) -> RunMetr
     return RunMetrics(recall, precision, n_gold, n_predicted, n_correct)
 
 
+def _sum(values: Iterable[float]) -> float:
+    """Left to right from 0.0; built-in sum() compensates from Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values)
+    return _sum(values) / len(values)
 
 
 def _sample_var(values: Sequence[float], mean: float) -> float:
-    return sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+    return _sum((v - mean) ** 2 for v in values) / (len(values) - 1)
 
 
 def summarize(samples: RecallSamples) -> DistributionSummary:
@@ -108,7 +116,7 @@ def compare_paired(a: RecallSamples, b: RecallSamples) -> PairedComparison:
     mean_b = _mean(b.values)
     var_a = _sample_var(a.values, mean_a)
     var_b = _sample_var(b.values, mean_b)
-    cov = sum(
+    cov = _sum(
         (x - mean_a) * (y - mean_b) for x, y in zip(a.values, b.values)
     ) / (n - 1)
     if var_a > 0.0 and var_b > 0.0:

@@ -7,9 +7,10 @@ distributions. Output is a set of TSV files; given a fixed config (seed
 included) they are byte-identical across runs and across worker counts.
 
 The training corpus is indexed, its MBSL tile maps made and every test
-corpus interned once per experiment, before any worker starts; e_full's
-training is one more task. A run makes no reference cycles, so
-run_experiment keeps the cyclic garbage collector off while it runs.
+corpus interned once per experiment, before any worker is forked; e_full's
+training is one more task, and a pooled run's parent computes a share of the
+tasks. A run makes no reference cycles, so run_experiment keeps the cyclic
+garbage collector off while it runs.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from __future__ import annotations
 import dataclasses
 import gc
 import itertools
+import os
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from . import evalstats, mbsl, winnow
 from .corpus import BUILTIN_GRAMMARS, Corpus, generate_corpus, read_corpus, write_corpus
@@ -148,6 +150,8 @@ class ExperimentConfig:
             raise ConfigError("at least one system is required")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.workers > 1 and not hasattr(os, "fork"):
+            raise ConfigError("workers > 1 needs os.fork, which this platform lacks")
         labels = [s.label for s in self.systems]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate system labels: {labels}")
@@ -398,37 +402,66 @@ class _Experiment:
         return results
 
     def run_all(self) -> list[dict[tuple[str, str], RunMetrics]]:
-        """run_resample for the full-corpus task (0, None, None), then for
-        every task in task order. The full task trains on every sentence, so
-        it goes first, and a pool does not end waiting on it."""
+        """run_resample for the full-corpus task (0, None, None), then for every
+        task, results in that order. With w = min(workers, tasks) above 1, the
+        parent forks w - 1 children: child i runs tasks[i::w] and pipes back
+        its results, and the parent runs tasks[0::w], the full task among them.
+        A child's exception is raised here; on any error each child left is killed."""
         tasks = [(0, None, None), *self.tasks]
         if self.config.workers == 1:
             return [self.run_resample(task) for task in tasks]
-        import concurrent.futures  # here, so that only a pooled run imports it
+        import pickle, signal  # here, so that only a pooled run imports them
 
-        # Workers get the experiment once, as an initializer argument, so
-        # the corpora are not shipped again with every task. A worker per
-        # task at most: a forking pool starts all of them at once.
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(self.config.workers, len(tasks)),
-            initializer=_init_worker,
-            initargs=(self,),
-        ) as pool:
-            return list(pool.map(_run_in_worker, tasks, chunksize=1))
+        w = min(self.config.workers, len(tasks))
+        results, children = [None] * len(tasks), []  # children: (pid, read end), not reaped
+        try:
+            for i in range(1, w):
+                read_end, write_end = os.pipe()
+                if (pid := os.fork()) == 0:
+                    _serve(self, tasks[i::w], write_end)  # never returns
+                os.close(write_end)  # so EOF comes at the child's exit: no later child has it
+                children.append((pid, open(read_end, "rb")))
+            results[0::w] = [self.run_resample(task) for task in tasks[0::w]]
+            for i in range(1, w):
+                pid, pipe = children[0]
+                data = pipe.read()  # to EOF before the wait: a child blocks on a full pipe
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                pipe.close()
+                del children[0]
+                if code < 0:
+                    raise RuntimeError(f"worker {pid} was killed by {signal.Signals(-code).name}")
+                share = pickle.loads(data)  # its results, or the exception it exited 1 with
+                if code:
+                    raise share
+                results[i::w] = share
+            return results
+        finally:
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)  # not reaped, so at least a zombie
+                os.waitpid(pid, 0)
 
 
-# Set only inside pool worker processes, by _init_worker.
-_worker_experiment: _Experiment | None = None
-
-
-def _init_worker(experiment: _Experiment) -> None:
-    global _worker_experiment
-    _worker_experiment = experiment
-    gc.disable()  # as in run_experiment; a forked worker inherits that, others do not
-
-
-def _run_in_worker(task) -> dict[tuple[str, str], RunMetrics]:
-    return _worker_experiment.run_resample(task)
+def _serve(experiment: _Experiment, tasks, write_end: int) -> NoReturn:
+    """A forked child: pickle its tasks' results, or the exception one raised
+    (a RuntimeError with its traceback if that will not pickle), into write_end;
+    leave by os._exit, so no finally block, atexit hook or buffer runs twice."""
+    import pickle
+    code = 1
+    try:
+        try:
+            payload, code = [experiment.run_resample(task) for task in tasks], 0
+        except BaseException as exc:
+            payload = exc
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                import traceback
+                payload = RuntimeError("".join(traceback.format_exception(exc)))
+        with open(write_end, "wb") as pipe:
+            pickle.dump(payload, pipe)
+    finally:
+        os._exit(code)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -474,24 +507,13 @@ def _run_experiment(config: ExperimentConfig) -> ExperimentReport:
         for spec_a, spec_b in itertools.combinations(config.systems, 2):
             for test_label in test_labels:
                 pairs[(spec_a.label, spec_b.label, test_label)] = evalstats.compare_paired(
-                    samples[(spec_a.label, test_label)],
-                    samples[(spec_b.label, test_label)],
-                )
+                    samples[(spec_a.label, test_label)], samples[(spec_b.label, test_label)])
         for spec in config.systems:
             for label_a, label_b in itertools.combinations(test_labels, 2):
                 xcorr[(spec.label, label_a, label_b)] = evalstats.compare_paired(
-                    samples[(spec.label, label_a)],
-                    samples[(spec.label, label_b)],
-                ).rho
+                    samples[(spec.label, label_a)], samples[(spec.label, label_b)]).rho
 
-    report = ExperimentReport(
-        config_hash=config.config_hash(),
-        samples=samples,
-        summaries=summaries,
-        e_full=e_full,
-        pairs=pairs,
-        xcorr=xcorr,
-    )
+    report = ExperimentReport(config.config_hash(), samples, summaries, e_full, pairs, xcorr)
     _write_report(experiment, report, run_metrics)
     return report
 
@@ -515,15 +537,8 @@ def _write_report(experiment: _Experiment, report: ExperimentReport, run_metrics
         out_dir / "summary.tsv",
         "system\ttest\tmethod\tn\tmean\tstd\te_full",
         (
-            (
-                system,
-                test,
-                method,
-                summary.n,
-                summary.mean,
-                summary.std,
-                report.e_full[(system, test)],
-            )
+            (system, test, method, summary.n, summary.mean, summary.std,
+             report.e_full[(system, test)])
             for (system, test), summary in sorted(report.summaries.items())
         ),
     )
@@ -555,16 +570,7 @@ def _write_report(experiment: _Experiment, report: ExperimentReport, run_metrics
         out_dir / "runs.tsv",
         "system\ttest\tresample_id\trecall\tprecision\tn_gold\tn_predicted\tn_correct",
         (
-            (
-                system,
-                test,
-                rid,
-                m.recall,
-                m.precision,
-                m.n_gold,
-                m.n_predicted,
-                m.n_correct,
-            )
+            (system, test, rid, *dataclasses.astuple(m))  # recall, precision and the counts
             for (system, test), metrics in sorted(run_metrics.items())
             for rid, m in enumerate(metrics)
         ),

@@ -1,13 +1,12 @@
-import concurrent.futures
 import dataclasses
-import functools
 import gc
-import multiprocessing
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import threading
 import zlib
 from pathlib import Path
 
@@ -64,6 +63,12 @@ def make_config(paths, out_dir, **kw):
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+def assert_no_child_left():
+    # every forked worker has been reaped: this process has no child at all
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestParseSystem:
@@ -384,51 +389,39 @@ class TestRunExperiment:
         else:
             assert experiment.mbsl_index.max_tile_len == length
 
-    def test_worker_count_does_not_change_bytes(self, corpora, tmp_path, monkeypatch):
+    def test_worker_count_does_not_change_bytes(self, corpora, tmp_path):
         systems = tuple(parse_system(spec) for spec in ("mbsl:c=1", "mbsl:c=3", "winnow"))
         cfg1 = make_config(corpora, tmp_path / "w1", systems=systems, workers=1)
-        cfg2 = make_config(corpora, tmp_path / "w2", systems=systems, workers=2)
         run_experiment(cfg1)
-        run_experiment(cfg2)
-        # forkserver, the default start method on Linux from Python 3.14,
-        # pickles the whole experiment to each worker, tile maps included,
-        # and e_full is trained in a worker
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
-            concurrent.futures.ProcessPoolExecutor,
-            mp_context=multiprocessing.get_context("forkserver"),
-        ))
-        run_experiment(dataclasses.replace(cfg2, output_dir=str(tmp_path / "fs")))
+        # b=3 makes four tasks: workers=2 gives the parent and its one child
+        # two each; workers=3 gives the parent two, e_full's among them, and
+        # each of two children one
+        for workers in (2, 3):
+            run_experiment(dataclasses.replace(
+                cfg1, workers=workers, output_dir=str(tmp_path / f"w{workers}")))
         for name in ("summary.tsv", "pairs.tsv", "xcorr.tsv", "plans.tsv", "runs.tsv"):
             expected = (tmp_path / "w1" / name).read_bytes()
             assert (tmp_path / "w2" / name).read_bytes() == expected
-            assert (tmp_path / "fs" / name).read_bytes() == expected
+            assert (tmp_path / "w3" / name).read_bytes() == expected
 
     def test_pool_starts_at_most_one_worker_per_task(self, corpora, tmp_path, monkeypatch):
-        asked = []
+        threads_at_fork = []
+        fork = os.fork
 
-        class SerialPool:
-            """Records max_workers and maps in this process."""
+        def counting_fork():
+            threads_at_fork.append(threading.active_count())
+            return fork()
 
-            def __init__(self, max_workers, initializer, initargs):
-                asked.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(harness, "_worker_experiment", None)
+        monkeypatch.setattr(os, "fork", counting_fork)
         serial = run_experiment(make_config(corpora, tmp_path / "w1", b=3))
         pooled = run_experiment(make_config(corpora, tmp_path / "w8", b=3, workers=8))
-        assert asked == [4]  # three resamples and the full-corpus task
+        # three resamples and the full-corpus task, less the parent's share;
+        # and no thread at any fork (-W error does not surface os.fork's
+        # warning about threads: CPython 3.12 and 3.13 drop it)
+        assert threads_at_fork == [1, 1, 1]
         assert pooled.samples == serial.samples
         assert pooled.e_full == serial.e_full
+        assert_no_child_left()
 
     def test_tasks_leave_tile_maps_as_built(self, corpora, tmp_path):
         # the experiment is complete when built: every task, e_full's
@@ -447,7 +440,8 @@ class TestRunExperiment:
         for workers in (1, 2):
             run_experiment(make_config(corpora, tmp_path / f"w{workers}", b=2, workers=workers))
         replay_resample(make_config(corpora, tmp_path / "w1", b=2), 0)
-        assert harness._worker_experiment is None
+        assert not hasattr(harness, "_worker_experiment")
+        assert_no_child_left()
 
     def test_rerun_is_byte_identical(self, corpora, tmp_path):
         config = make_config(corpora, tmp_path / "out", b=2)
@@ -467,6 +461,90 @@ class TestRunExperiment:
             after = mbsl._sentence_profiles.cache_info()
             assert after.misses - before.misses == len(train)
             assert after.hits == before.hits
+
+
+class TestPool:
+    """workers > 1: the parent forks workers - 1 children and runs a share."""
+
+    @staticmethod
+    def fail_in(monkeypatch, where, fail):
+        # forked children inherit the patch; `where` picks the parent or a child
+        parent = os.getpid()
+        run_resample = harness._Experiment.run_resample
+
+        def patched(self, task):
+            if (os.getpid() == parent) == (where == "parent"):
+                fail()
+            return run_resample(self, task)
+
+        monkeypatch.setattr(harness._Experiment, "run_resample", patched)
+
+    def test_child_exception_reaches_the_caller(self, corpora, tmp_path, monkeypatch):
+        def fail():
+            raise KeyError("lost in a child")
+
+        self.fail_in(monkeypatch, "child", fail)
+        with pytest.raises(KeyError, match="lost in a child"):
+            run_experiment(make_config(corpora, tmp_path / "out", b=3, workers=2))
+        assert_no_child_left()
+
+    def test_unpicklable_child_exception_arrives_as_its_traceback(
+            self, corpora, tmp_path, monkeypatch):
+        class Unpicklable(Exception):
+            def __reduce__(self):
+                raise TypeError("no pickling")
+
+        def fail():
+            raise Unpicklable("kept as text")
+
+        self.fail_in(monkeypatch, "child", fail)
+        with pytest.raises(RuntimeError, match=r"(?s)Traceback.*Unpicklable: kept as text"):
+            run_experiment(make_config(corpora, tmp_path / "out", b=3, workers=2))
+        assert_no_child_left()
+
+    def test_killed_child_names_the_signal(self, corpora, tmp_path, monkeypatch):
+        self.fail_in(monkeypatch, "child", lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError, match="SIGKILL"):
+            run_experiment(make_config(corpora, tmp_path / "out", b=3, workers=3))
+        assert_no_child_left()
+
+    def test_parent_failure_reaps_the_children(self, corpora, tmp_path, monkeypatch):
+        def fail():
+            raise ValueError("the parent's share failed")
+
+        self.fail_in(monkeypatch, "parent", fail)
+        with pytest.raises(ValueError, match="the parent's share failed"):
+            run_experiment(make_config(corpora, tmp_path / "out", b=3, workers=4))
+        assert_no_child_left()
+
+    def test_results_larger_than_a_pipe_buffer(self, corpora, tmp_path, monkeypatch):
+        # each child's pickled share exceeds a 64 KiB pipe buffer, so the parent
+        # must read every pipe to its end before it waits for that child
+        def run_resample(self, task):
+            return {"task": task, "padding": "x" * 100_000}
+
+        monkeypatch.setattr(harness._Experiment, "run_resample", run_resample)
+        experiment = harness._Experiment(make_config(corpora, tmp_path / "out", b=4, workers=3))
+        tasks = [(0, None, None), *experiment.tasks]
+
+        def expire(signum, frame):
+            raise TimeoutError("the parent waited for a child blocked on a full pipe")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            results = experiment.run_all()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert results == [run_resample(experiment, task) for task in tasks]
+        assert_no_child_left()
+
+    def test_workers_need_fork(self, corpora, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        make_config(corpora, tmp_path / "out", workers=1)
+        with pytest.raises(ConfigError, match="workers"):
+            make_config(corpora, tmp_path / "out", workers=2)
 
 
 class TestGcPause:
@@ -721,12 +799,26 @@ class TestCli:
     def run_cli(self, *args):
         return self.run_python("-m", "npchunk.cli", *args)
 
-    def test_import_leaves_out_the_pool_library(self):
-        # only a pooled run imports concurrent.futures
+    def test_import_leaves_out_the_pool_library(self, corpora, tmp_path):
+        # no run imports concurrent.futures or multiprocessing: a pooled run
+        # forks its workers through os.fork
+        pool = ("concurrent.futures", "multiprocessing")
         result = self.run_python(
-            "-c", "import sys, npchunk.cli; print('concurrent.futures' in sys.modules)")
+            "-c", f"import sys, npchunk.cli; print({pool} & sys.modules.keys())")
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "False\n"
+        assert result.stdout == "set()\n"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"master_seed=2\ntrain={corpora['train']}\ntest.a={corpora['a']}\n"
+            f"B=3\nsystems=mbsl:c=1;winnow\nworkers=2\noutput_dir={tmp_path / 'out'}\n"
+        )
+        result = self.run_python("-c", (
+            "import sys; from npchunk import cli; "
+            "code = cli.main(['run', '--config', sys.argv[1]]); "
+            f"print(code, {pool} & sys.modules.keys())"
+        ), str(cfg))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 set()"
 
     def test_run_leaves_out_hashlib(self, corpora, tmp_path):
         # the corpus and plan digests come from zlib; hashlib would load

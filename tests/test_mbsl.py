@@ -311,8 +311,8 @@ class TestProfileIndex:
                 index.counts([0, bad, 1])
 
     def test_index_pickles_and_makes_no_cycles(self):
-        # a forkserver pool pickles the experiment, index included, and a run
-        # keeps the cyclic garbage collector off
+        # an index survives pickling whole, and a run keeps the cyclic
+        # garbage collector off
         corpus = Corpus((sent(["DT", "NN", "VBD", "DT", "JJ", "NN"], [(0, 2), (3, 6)]),
                          sent(["NN", "VBD"], [(0, 1)])))
         was = gc.isenabled()
