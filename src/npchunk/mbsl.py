@@ -31,11 +31,12 @@ resample leaves out or repeats, then sums each key's count into its parent,
 once over the trie; it is shared by every context size and tile length.
 The profile at a shorter tile length L is the longer one's keys of at most
 L tags, with the same counts, so one index at the longest tile length
-serves them all. Per context size and tile length the index lists the
-tiles once, and each key's positive and yielded tile ids, running
-the tile rule once per border layout (length, opens, closes); training
-(mbsl_train_counts) pushes the counts to tile ids and keeps the tiles some
-counted key yields.
+serves them all. The index names each key by its seq id and its border
+layout's id, a layout being (length, opens, closes). Per context size and
+tile length it lists the tiles once, each named by (seq id, opens,
+closes), and each key's positive and yielded tile ids, running the tile
+rule once per layout id; training (mbsl_train_counts) pushes the counts to
+tile ids and keeps the tiles some counted key yields.
 
 Prediction covers a candidate span (i, j) with a chain of stored tiles whose
 borders sit at i and j, from the opening border to the closing one, adjacent
@@ -71,7 +72,7 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, count, product
+from itertools import chain, count
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence
 
@@ -123,7 +124,7 @@ def _sentence_profiles(tags: tuple[str, ...],
     """(tag, a chunk opens before it, a chunk closes after it) per token.
 
     These are the steps MbslIndex walks its key trie by: a window's profile
-    key (seq, opens, closes) is its first tag's step, then each next tag's.
+    key is its first tag's step, then each next tag's.
     """
     opening = [False] * len(tags)
     closing = [False] * len(tags)
@@ -144,26 +145,27 @@ class MbslModel:
     source: MbslIndex  # the index trained from, whose seq ids key index
 
 
-def _window_tiles(seq: tuple[str, ...], opens: tuple[int, ...],
-                  closes: tuple[int, ...], c: int) -> list[Tile]:
-    """The tiles one window profile yields at context size c (module docstring)."""
-    l = len(seq)
-    tiles = []
+def _window_tiles(length: int, opens: tuple[int, ...], closes: tuple[int, ...],
+                  c: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (opens, closes) marks of the tiles a window of length tags with
+    the border layout (opens, closes) yields at context size c (module
+    docstring)."""
+    marks = []
     for o in opens:
         if o > c:
             break
         m = next((m for m in closes if m >= o), None)
-        if m is not None and l - 1 - m <= c:
-            tiles.append(Tile(seq, (o,), (m,)))
-        if l - o <= c and m in (None, l - 1):
-            tiles.append(Tile(seq, (o,), ()))
-    inner_open = next((o for o in opens if o > 0), l)
+        if m is not None and length - 1 - m <= c:
+            marks.append(((o,), (m,)))
+        if length - o <= c and m in (None, length - 1):
+            marks.append(((o,), ()))
+    inner_open = next((o for o in opens if o > 0), length)
     for m in closes:
         if m + 1 > c or m >= inner_open:
             break
-        if l - 1 - m <= c:
-            tiles.append(Tile(seq, (), (m,)))
-    return tiles
+        if length - 1 - m <= c:
+            marks.append(((), (m,)))
+    return marks
 
 
 class ProfileCounts(NamedTuple):
@@ -220,19 +222,21 @@ class MbslIndex:
     extended by the step at p + max_tile_len while that is in the sentence,
     so each start costs about one edge lookup. A new key gets its link
     first, so a key's id is larger than its parent's and its link's; ids
-    come in that creation order, which no output reads. seq ids come in key
-    order from (parent seq id, tag) edges. The key edges and links live only
-    while the index is built; the seq edges stay, as seq_ids, so that intern
-    can map test windows to seq ids.
+    come in that creation order, which no output reads. seq ids and layout
+    ids come in key order, from (parent seq id, tag) and (parent layout id,
+    opens here, closes here) edges. The key edges and links live only while
+    the index is built; the seq edges stay, as seq_ids, so that intern can
+    map test windows to seq ids.
 
-    keys[k] is a profile key (seq, opens, closes), parent[k] the id of its
-    parent (-1 for a one-step key), key_seq[k] the id of its seq, seqs[i]
-    the seq of id i, seq_parent[i] the id of seqs[i][:-1] (-1 for a one-tag
-    seq). Equal opens or closes tuples of the keys are one object, through
-    a dict local to the build. ends[s] holds, per start of sentence s, the
-    key id of the longest window there, max_np[s] its longest gold NP, and
-    full[k] how many starts of all the sentences end at key k, from which
-    counts(ids) starts.
+    A key k is named by its seq and its border layout: key_seq[k] is the id
+    of its seq, seqs[i] the seq of id i and seq_parent[i] the id of
+    seqs[i][:-1] (-1 for a one-tag seq); key_layout[k] is the id of its
+    layout, and layouts[i] the layout (length, opens, closes) of id i, each
+    distinct layout once. parent[k] is the id of k's parent (-1 for a
+    one-step key). ends[s] holds, per start of sentence s, the key id of the
+    longest window there, max_np[s] its longest gold NP, and full[k] how
+    many starts of all the sentences end at key k, from which counts(ids)
+    starts.
     The index is the only store of these profiles, and nothing is kept
     between experiments. tile_map(c, max_tile_len) lists the tiles the keys
     yield at context size c and that tile length, made on the first call and
@@ -279,33 +283,30 @@ class MbslIndex:
         self.full = [0] * len(parent)
         for k, starts in Counter(chain.from_iterable(self.ends)).items():
             self.full[k] = starts
-        # seq ids by a second trie over (parent seq id, tag), in key order
+        # seq ids by a second trie over (parent seq id, tag), and layout ids
+        # by a third over (parent layout id, opens here, closes here), both
+        # in key order
         self.seq_ids: dict[tuple[int, str], int] = {}
         self.seqs: list[tuple[str, ...]] = []
         self.seq_parent: list[int] = []
         self.key_seq: list[int] = []
-        self.keys: list[tuple] = []
-        marks: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal opens/closes share one
+        self.layouts: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+        self.key_layout: list[int] = []
+        layout_ids: dict[tuple[int, bool, bool], int] = {}
         for up, step in zip(parent, key_step):
             tag, opens_here, closes_here = steps[step]
-            if up < 0:
-                up_seq, seq, opens, closes = -1, (), (), ()
-            else:
-                up_seq = self.key_seq[up]
-                seq, opens, closes = self.keys[up]
+            up_seq, up_layout = (self.key_seq[up], self.key_layout[up]) if up >= 0 else (-1, -1)
             s = self.seq_ids.setdefault((up_seq, tag), len(self.seqs))
             if s == len(self.seqs):
-                self.seqs.append(seq + (tag,))
+                self.seqs.append((self.seqs[up_seq] if up_seq >= 0 else ()) + (tag,))
                 self.seq_parent.append(up_seq)
-            at = len(seq)
-            if opens_here:
-                opens = opens + (at,)
-                opens = marks.setdefault(opens, opens)
-            if closes_here:
-                closes = closes + (at,)
-                closes = marks.setdefault(closes, closes)
             self.key_seq.append(s)
-            self.keys.append((self.seqs[s], opens, closes))
+            layout = layout_ids.setdefault((up_layout, opens_here, closes_here), len(self.layouts))
+            if layout == len(self.layouts):
+                at, opens, closes = self.layouts[up_layout] if up_layout >= 0 else (0, (), ())
+                self.layouts.append((at + 1, opens + (at,) if opens_here else opens,
+                                     closes + (at,) if closes_here else closes))
+            self.key_layout.append(layout)
         self._tile_maps: dict[tuple[int, int], _TileMap] = {}
 
     def counts(self, ids: Iterable[int]) -> ProfileCounts:
@@ -365,46 +366,32 @@ class MbslIndex:
         once per (c, max_tile_len). A key longer than max_tile_len yields no
         tile, so no tile has its seq and it is positive for none.
 
-        _window_tiles reads only a key's border layout (length, opens,
-        closes), so the rule runs once per layout, and so does the choice of
-        the marks a key is positive for: a tile's one opening and one
-        closing mark, each absent or among the key's. A tile is coded as
-        (its seq id) * len(marks) + (rank of its marks), and numbered in the
-        order the keys, by id, first yield it. No output reads that order:
-        prediction keeps the best score per border, and selects spans by a
-        total order.
+        _window_tiles reads only a key's border layout, so the rule runs once
+        per layout id. A tile is named by (seq id, opens, closes) and
+        numbered in the order the keys, by id, first yield it. A key is
+        positive for each tile of its seq whose marks it carries, listed in
+        mark order.
         """
         tile_map = self._tile_maps.get((c, max_tile_len))
         if tile_map is None:
-            single = [()] + [(m,) for m in range(max_tile_len)]
-            marks = list(product(single, single))  # (tile opens, tile closes), sorted
-            mark_rank = {mark: r for r, mark in enumerate(marks)}
-            width = len(marks)
-            # layout -> the mark ranks of the tiles it yields and of those it
-            # is positive for; none for a key longer than max_tile_len
-            rules: dict[tuple, tuple[list[int], list[int]]] = {}
-            ids: dict[int, int] = {}  # tile code -> tile id, in order of first yield
-            yields = []
-            carried = []  # key id -> its layout's positive mark ranks, one shared list
-            for (seq, opens, closes), s in zip(self.keys, self.key_seq):
-                layout = (len(seq), opens, closes)
-                rule = rules.get(layout)
-                if rule is None:
-                    rule = rules[layout] = ([], []) if len(seq) > max_tile_len else (
-                        [mark_rank[tile[1:]] for tile in _window_tiles(seq, opens, closes, c)],
-                        [r for r, (o, m) in enumerate(marks) if (o or m)
-                         and (not o or o[0] in opens) and (not m or m[0] in closes)],
-                    )
-                base = s * width
-                yields.append(tuple([ids.setdefault(base + r, len(ids)) for r in rule[0]]))
-                carried.append(rule[1])
-            tiled = {code // width for code in ids}  # ids of the seqs with tiles
-            positive = [tuple([t for t in map(ids.get, [s * width + r for r in ranks])
-                               if t is not None]) if s in tiled else ()
-                        for s, ranks in zip(self.key_seq, carried)]
+            rules = [_window_tiles(*layout, c) if layout[0] <= max_tile_len else []
+                     for layout in self.layouts]
+            # (seq id, opens, closes) -> tile id, in order of first yield
+            ids: dict[tuple, int] = {}
+            yields = [tuple([ids.setdefault((s, *marks), len(ids)) for marks in rules[layout]])
+                      for s, layout in zip(self.key_seq, self.key_layout)]
+            # seq id -> [(opens, closes, tile id)] of its tiles, in mark order
+            by_seq: defaultdict[int, list] = defaultdict(list)
+            for (s, opens, closes), t in sorted(ids.items()):
+                by_seq[s].append((opens, closes, t))
+            positive = []
+            for s, layout in zip(self.key_seq, self.key_layout):
+                _, opens, closes = self.layouts[layout]
+                positive.append(tuple([t for o, m, t in by_seq.get(s, ())
+                                       if (not o or o[0] in opens) and (not m or m[0] in closes)]))
             tile_map = self._tile_maps[(c, max_tile_len)] = _TileMap(
-                [Tile(self.seqs[code // width], *marks[code % width]) for code in ids],
-                [code // width for code in ids],
+                [Tile(self.seqs[s], opens, closes) for s, opens, closes in ids],
+                [s for s, _, _ in ids],
                 positive,
                 yields,
             )

@@ -13,7 +13,13 @@ from pathlib import Path
 import pytest
 
 from npchunk import cli, harness, mbsl
-from npchunk.corpus import GenreGrammar, generate_corpus, read_corpus, write_corpus
+from npchunk.corpus import (
+    BUILTIN_GRAMMARS,
+    GenreGrammar,
+    generate_corpus,
+    read_corpus,
+    write_corpus,
+)
 from npchunk.harness import (
     ConfigError,
     ExperimentConfig,
@@ -47,6 +53,20 @@ def corpora(tmp_path_factory):
     for name, corpus in (("train", train), ("a", test_a), ("b", test_b)):
         path = root / f"{name}.iob2"
         write_corpus(corpus, path)
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.fixture(scope="module")
+def wsj_corpora(tmp_path_factory):
+    # a wsj-like training corpus small enough that its resamples and the
+    # full corpus score apart
+    root = tmp_path_factory.mktemp("wsj")
+    paths = {}
+    for name, sentences, index in (("train", 80, 0), ("a", 20, 1), ("b", 20, 2)):
+        path = root / f"{name}.iob2"
+        write_corpus(generate_corpus(BUILTIN_GRAMMARS["wsj-like"], sentences,
+                                     derive_stream(5, "gen", index)), path)
         paths[name] = str(path)
     return paths
 
@@ -389,10 +409,16 @@ class TestRunExperiment:
         else:
             assert experiment.mbsl_index.max_tile_len == length
 
-    def test_worker_count_does_not_change_bytes(self, corpora, tmp_path):
+    def test_worker_count_does_not_change_bytes(self, wsj_corpora, tmp_path):
         systems = tuple(parse_system(spec) for spec in ("mbsl:c=1", "mbsl:c=3", "winnow"))
-        cfg1 = make_config(corpora, tmp_path / "w1", systems=systems, workers=1)
-        run_experiment(cfg1)
+        cfg1 = make_config(wsj_corpora, tmp_path / "w1", systems=systems, workers=1)
+        report = run_experiment(cfg1)
+        # the four tasks' results differ pairwise, so results put back in the
+        # wrong task order change the bytes
+        keys = sorted(report.e_full)
+        results = [tuple(report.e_full[key] for key in keys)] + [
+            tuple(report.samples[key].values[r] for key in keys) for r in range(cfg1.b)]
+        assert len(set(results)) == len(results) == 4
         # b=3 makes four tasks: workers=2 gives the parent and its one child
         # two each; workers=3 gives the parent two, e_full's among them, and
         # each of two children one
@@ -571,10 +597,14 @@ class TestGcPause:
         finally:
             (gc.enable if was else gc.disable)()
 
-    def test_serial_run_leaves_no_cycles(self, corpora, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_leaves_no_cycles(self, corpora, tmp_path, workers):
         # the pause costs no memory only while a run makes no reference
-        # cycles; a pooled run is not checked, as the executor leaves its own
-        config = make_config(corpora, tmp_path / "out", b=3, systems=(
+        # cycles; the first imports of pickle and signal in a process leave
+        # collectable cycles, which a pooled run's lazy imports would
+        # otherwise count here, so they come first (this module imports signal)
+        import pickle  # noqa: F401
+        config = make_config(corpora, tmp_path / "out", b=3, workers=workers, systems=(
             parse_system("mbsl:c=1"), parse_system("mbsl:c=3"), parse_system("winnow")))
         gc.collect()
         run_experiment(config)

@@ -237,13 +237,16 @@ class TestTileRule:
         corpus = Corpus(tuple(_sentence(segments) for segments in train))
         index = MbslIndex(corpus, index_len)
         max_tile_len = max(1, index_len - shorter_by)
+        keys = _keys(index)
         assert len(set(index.seqs)) == len(index.seqs)
-        assert [index.seqs[s] for s in index.key_seq] == [seq for seq, _, _ in index.keys]
+        assert [index.layouts[layout][0] for layout in index.key_layout] == \
+            [len(index.seqs[s]) for s in index.key_seq]
         assert [index.seqs[s] if s >= 0 else () for s in index.seq_parent] == \
             [seq[:-1] for seq in index.seqs]
         yielded = [
-            _window_tiles(seq, opens, closes, c) if len(seq) <= max_tile_len else []
-            for seq, opens, closes in index.keys
+            [Tile(seq, *marks) for marks in _window_tiles(len(seq), opens, closes, c)]
+            if len(seq) <= max_tile_len else []
+            for seq, opens, closes in keys
         ]
         tiles = set(chain.from_iterable(yielded))
         tile_map = index.tile_map(c, max_tile_len)
@@ -253,9 +256,16 @@ class TestTileRule:
         assert [tuple(tile_map.tiles[t] for t in ids) for ids in tile_map.positive] == [
             tuple(tile for tile in sorted(tiles) if tile.seq == seq
                   and set(tile.opens).issubset(opens) and set(tile.closes).issubset(closes))
-            for seq, opens, closes in index.keys
+            for seq, opens, closes in keys
         ]
         assert [[tile_map.tiles[t] for t in ids] for ids in tile_map.yields] == yielded
+
+
+def _keys(index):
+    """Each key's (seq, opens, closes), by key id, from its seq id and its
+    layout id."""
+    return [(index.seqs[s], *index.layouts[layout][1:])
+            for s, layout in zip(index.key_seq, index.key_layout)]
 
 
 def _window_key(sentence, p, l):
@@ -284,24 +294,29 @@ class TestProfileIndex:
         sentence = _sentence(segments)
         index = MbslIndex(Corpus((sentence,)), max_tile_len)
         # keys are distinct, and each is its parent extended by one step
-        assert len(set(index.keys)) == len(index.keys) == len(index.parent)
+        keys = _keys(index)
+        assert len(set(keys)) == len(keys) == len(index.parent)
         for k, up in enumerate(index.parent):
             assert up < k
-            seq, opens, closes = index.keys[k]
+            seq, opens, closes = keys[k]
             last = len(seq) - 1
-            assert (index.keys[up] if up >= 0 else ((), (), ())) == (
+            assert (keys[up] if up >= 0 else ((), (), ())) == (
                 seq[:last], tuple(m for m in opens if m < last),
                 tuple(m for m in closes if m < last))
         # each start ends at the key of its longest window
         length = len(sentence)
-        assert [index.keys[k] for k in index.ends[0]] == \
+        assert [keys[k] for k in index.ends[0]] == \
             [_window_key(sentence, p, min(max_tile_len, length - p)) for p in range(length)]
         # per key, the windows counted up the trie
-        assert dict(zip(index.keys, index.counts([0]).by_key)) == \
+        assert dict(zip(keys, index.counts([0]).by_key)) == \
             dict(_brute_profile(sentence, max_tile_len))
-        # equal opens and closes tuples of the keys are one object each
-        marks = [m for _, opens, closes in index.keys for m in (opens, closes)]
-        assert len({id(m) for m in marks}) == len(set(marks))
+        # each distinct layout once and every one some key's; a key's layout
+        # holds its seq's length, and its borders are the brute-force ones,
+        # as the keys rebuilt from the layouts equal the brute-force keys above
+        assert len(set(index.layouts)) == len(index.layouts)
+        assert set(index.key_layout) == set(range(len(index.layouts)))
+        assert [index.layouts[layout] for layout in index.key_layout] == \
+            [(len(seq), opens, closes) for seq, opens, closes in keys]
 
     def test_counts_rejects_unknown_ids(self):
         corpus = Corpus((sent(["DT", "NN"], [(0, 2)]), sent(["VBD"], [])))
@@ -355,7 +370,7 @@ class TestProfileIndex:
         for i in ids:
             expected.update(_brute_profile(corpus.sentences[i], max_tile_len))
         counts = index.counts(ids)
-        assert counts.by_key == [expected[key] for key in index.keys]
+        assert counts.by_key == [expected[key] for key in _keys(index)]
         assert counts.max_np_len == max(
             (end - start for i in ids for start, end in corpus.sentences[i].gold_spans),
             default=0,
