@@ -4,23 +4,25 @@ A corpus holds a tuple of sentences; a sentence is three tuples: its words, one
 POS tag per word, and its gold base-NP spans as ``ChunkSpan(start, end)``
 token ranges, end exclusive. Base-NPs are non-recursive, so spans are sorted
 and disjoint. Words and tags are non-empty and whitespace-free. The learners
-and the scorer read only the tags and the spans.
+and the scorer read only the tags and the spans. Records are named tuples,
+or immutable __slots__ classes where len() counts tokens or sentences.
 
 Files are 3-column IOB2: ``word<TAB>pos<TAB>tag`` with tag in {B-NP, I-NP, O},
-one token per line, blank line between sentences. A malformed line raises
-``CorpusFormatError``, whose message starts with ``<file>:<line>:``. In a
-corpus read from one file, equal words, equal tags and equal spans are one
-object each: a run keeps its corpora from the first resample to the last, and
-most of their tokens repeat. The sharing goes through a dict local to the
-read, not ``sys.intern``, so nothing of it outlives the corpus.
+one token per line, blank line between sentences. The first fault in a file,
+in line order, raises ``CorpusFormatError``, whose message starts with
+``<file>:<line>:``; each sentence block is checked by one regular expression,
+and line by line only if it fails. In a corpus read from one file, equal
+words, equal tags and equal spans are one object each: a run keeps its
+corpora from the first resample to the last, and most of their tokens repeat.
+The sharing goes through a dict local to the read, not ``sys.intern``, so
+nothing of it outlives the corpus.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, NoReturn, Sequence
 
 from .resample import PrngStream
 
@@ -42,39 +44,83 @@ class ChunkSpan(NamedTuple):
     end: int    # exclusive token index
 
 
-@dataclass(frozen=True)
-class Sentence:
-    words: tuple[str, ...]
-    pos_tags: tuple[str, ...]
-    gold_spans: tuple[ChunkSpan, ...] = ()
+class _Frozen:
+    """An immutable record: equality, hash, repr and pickle go by its __slots__."""
 
-    def __post_init__(self):
-        for field in ("words", "pos_tags", "gold_spans"):
-            object.__setattr__(self, field, tuple(getattr(self, field)))
-        if len(self.words) != len(self.pos_tags):
-            raise ValueError(f"{len(self.words)} words but {len(self.pos_tags)} POS tags")
-        for what, values in (("word", self.words), ("POS tag", self.pos_tags)):
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return _record, (type(self), *self._values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__  # value's default lets it take (self, name)
+
+
+def _record(cls, *values):
+    """The cls record of values, unchecked."""
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(record, name, value)
+    return record
+
+
+class _Checked:
+    """Listed before a NamedTuple base: _check runs on construction and _replace."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class Sentence(_Frozen):
+    __slots__ = ("words", "pos_tags", "gold_spans")
+
+    def __new__(cls, words, pos_tags, gold_spans=()):
+        words, pos_tags, gold_spans = tuple(words), tuple(pos_tags), tuple(gold_spans)
+        if len(words) != len(pos_tags):
+            raise ValueError(f"{len(words)} words but {len(pos_tags)} POS tags")
+        for what, values in (("word", words), ("POS tag", pos_tags)):
             # one split over the joined values: equal iff none is empty or has whitespace
             if " ".join(values).split() != list(values):
                 bad = next(v for v in values if v.split() != [v])
                 raise ValueError(f"{what} must be non-empty and whitespace-free: {bad!r}")
         prev_end = 0
-        for start, end in self.gold_spans:
-            if not prev_end <= start < end <= len(self.words):
+        for start, end in gold_spans:
+            if not prev_end <= start < end <= len(words):
                 raise ValueError(f"spans must be non-empty, sorted, disjoint and inside "
-                                 f"the {len(self.words)} tokens: {self.gold_spans}")
+                                 f"the {len(words)} tokens: {gold_spans}")
             prev_end = end
+        return _record(cls, words, pos_tags, gold_spans)
 
     def __len__(self) -> int:
         return len(self.words)
 
 
-@dataclass(frozen=True)
-class Corpus:
-    sentences: tuple[Sentence, ...]
+class Corpus(_Frozen):
+    __slots__ = ("sentences",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "sentences", tuple(self.sentences))
+    def __new__(cls, sentences):
+        return _record(cls, tuple(sentences))
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -86,81 +132,69 @@ class Corpus:
 # ---------------------------------------------------------------------------
 # IOB2 file I/O
 
-
-def _sentence_from_rows(rows: list[list[str]], first_line: int, path: str | Path,
-                        seen: dict) -> Sentence:
-    """The sentence of rows; its words, tags and spans are the objects in seen
-    that equal them, added when new."""
-    spans: list[ChunkSpan] = []
-    open_start = -1
-    for offset, (_, _, tag) in enumerate(rows):
-        line_no = first_line + offset
-        if tag == B_TAG:
-            if open_start >= 0:
-                spans.append(ChunkSpan(open_start, offset))
-            open_start = offset
-        elif tag == I_TAG:
-            if open_start < 0:
-                raise CorpusFormatError(path, line_no, "I-NP not preceded by B-NP/I-NP")
-        elif tag == O_TAG:
-            if open_start >= 0:
-                spans.append(ChunkSpan(open_start, offset))
-                open_start = -1
-        else:
-            raise CorpusFormatError(path, line_no, f"unknown chunk tag {tag!r}")
-    if open_start >= 0:
-        spans.append(ChunkSpan(open_start, len(rows)))
-    words, tags, _ = zip(*rows)
-    share = seen.setdefault
-    return Sentence(tuple(map(share, words, words)), tuple(map(share, tags, tags)),
-                    tuple(map(share, spans, spans)))
+# A valid block: lines of three tab-separated fields that str.split() keeps whole
+# (\s is its whitespace), the last a chunk tag. read_corpus escapes bytes that are
+# not UTF-8 to surrogates, so a line holding one fails here.
+_LINE = r"[^\s\ud800-\udfff]+\t[^\s\ud800-\udfff]+\t(?:[BI]-NP|O)"
+_VALID_BLOCK = re.compile(f"(?:{_LINE}\n)*{_LINE}")
+_BLOCK = re.compile(r"[^\n]+(?:\n[^\n]+)*")  # a run of non-empty lines
+_CHUNK = re.compile("BI*")  # a span, over one letter per chunk tag
 
 
 def read_corpus(path: str | Path) -> Corpus:
-    """Read a strict-IOB2 file. Raises CorpusFormatError naming file and line.
+    """Read a strict-IOB2 file. Raises CorpusFormatError naming file and line of
+    the first fault, a block's chunk tags checked once all its lines are.
 
     Equal words, tags and spans of the file are one object each.
     """
+    # universal newlines end lines at \n, \r\n and \r, as file iteration does
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        text = handle.read()
     seen: dict = {}  # word, tag or span -> its one object
-    sentences: list[Sentence] = []
-    rows: list[list[str]] = []
-    first_line = 1
-    try:
-        with open(path, encoding="utf-8", newline="") as handle:
-            for line_no, raw in enumerate(handle, start=1):
-                line = raw.rstrip("\r\n")
-                if not line:
-                    if rows:
-                        sentences.append(_sentence_from_rows(rows, first_line, path, seen))
-                        rows = []
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise CorpusFormatError(
-                        path, line_no, f"expected 3 tab-separated columns, got {len(parts)}"
-                    )
-                if line.split() != parts:
-                    raise CorpusFormatError(
-                        path, line_no, f"a field is empty or contains whitespace: {line!r}"
-                    )
-                if not rows:
-                    first_line = line_no
-                rows.append(parts)
-    except UnicodeDecodeError:
-        # the decoder reads ahead in blocks, so find the line in the raw bytes
-        data = Path(path).read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # the lines read_corpus counts: universal newlines, undecoded
-            line_no = len(re.split(rb"\r\n?|\n", data[:exc.start]))
-            raise CorpusFormatError(
-                path, line_no, f"not UTF-8: {exc.reason} at {data[exc.start:exc.end]!r}"
-            ) from None
-        raise
-    if rows:
-        sentences.append(_sentence_from_rows(rows, first_line, path, seen))
+    share, get = seen.setdefault, seen.get
+    sentences = []
+    for block in _BLOCK.finditer(text):
+        lines = block.group()
+        fields = lines.split()  # once the block matches, its words, tags and chunk tags
+        letters = "".join(fields[2::3]).replace("-NP", "")  # B, I or O per token
+        if not (_VALID_BLOCK.fullmatch(lines) and letters[0] != "I" and "OI" not in letters):
+            _block_fault(path, lines.split("\n"), text.count("\n", 0, block.start()) + 1)
+        words, tags = fields[0::3], fields[1::3]
+        spans = [get(bounds) or share(bounds, ChunkSpan(*bounds))
+                 for bounds in map(re.Match.span, _CHUNK.finditer(letters))]
+        sentences.append(_record(Sentence, tuple(map(share, words, words)),
+                                 tuple(map(share, tags, tags)), tuple(spans)))
     return Corpus(tuple(sentences))
+
+
+def _block_fault(path: str | Path, lines: list[str], first_line: int) -> NoReturn:
+    """Raise the CorpusFormatError of a faulty sentence block: its first line
+    that is not UTF-8, has other than 3 columns or a bad field, else its
+    first bad chunk tag."""
+    for line_no, line in enumerate(lines, start=first_line):
+        if re.search("[\ud800-\udfff]", line):  # escaped bytes, the file's first
+            try:
+                Path(path).read_bytes().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                bad = exc.object[exc.start:exc.end]
+                message = f"not UTF-8: {exc.reason} at {bad!r}"
+                raise CorpusFormatError(path, line_no, message) from None
+        parts = line.split("\t")
+        if len(parts) != 3:
+            message = f"expected 3 tab-separated columns, got {len(parts)}"
+            raise CorpusFormatError(path, line_no, message)
+        if line.split() != parts:
+            message = f"a field is empty or contains whitespace: {line!r}"
+            raise CorpusFormatError(path, line_no, message)
+    open_chunk = False
+    for line_no, line in enumerate(lines, start=first_line):
+        tag = line.split("\t")[2]
+        if tag == I_TAG and not open_chunk:
+            raise CorpusFormatError(path, line_no, "I-NP not preceded by B-NP/I-NP")
+        if tag not in (B_TAG, I_TAG, O_TAG):
+            raise CorpusFormatError(path, line_no, f"unknown chunk tag {tag!r}")
+        open_chunk = tag != O_TAG
+    raise AssertionError(f"{path}:{first_line}: a block that fails no check")
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -188,8 +222,16 @@ WeightedPattern = tuple[Pattern, float]
 WORDS_PER_POS = 20  # distinct synthetic words per POS tag
 
 
-@dataclass(frozen=True)
-class GenreGrammar:
+class _GenreGrammar(NamedTuple):
+    name: str
+    np_patterns: tuple[WeightedPattern, ...]
+    glue_patterns: tuple[WeightedPattern, ...]
+    mean_nps: float
+    min_nps: int = 0
+    max_nps: int = 12
+
+
+class GenreGrammar(_Checked, _GenreGrammar):
     """Parameterizes one synthetic genre.
 
     A sentence is built as glue / NP alternation: for each of k NPs one glue
@@ -199,14 +241,9 @@ class GenreGrammar:
     WORDS_PER_POS so the word column stays format-compatible, without signal.
     """
 
-    name: str
-    np_patterns: tuple[WeightedPattern, ...]
-    glue_patterns: tuple[WeightedPattern, ...]
-    mean_nps: float
-    min_nps: int = 0
-    max_nps: int = 12
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not self.np_patterns or not self.glue_patterns:
             raise ValueError("np_patterns and glue_patterns must be non-empty")
         for _, weight in self.np_patterns + self.glue_patterns:

@@ -18,14 +18,12 @@ different runs are not draws from one sample space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import ChunkSpan, Corpus
+from .corpus import ChunkSpan, Corpus, _Checked
 
 
-@dataclass(frozen=True)
-class RunMetrics:
+class RunMetrics(NamedTuple):
     recall: float
     precision: float | None
     n_gold: int
@@ -33,27 +31,30 @@ class RunMetrics:
     n_correct: int
 
 
-@dataclass(frozen=True)
-class RecallSamples:
+class _RecallSamples(NamedTuple):
     label: str
     values: tuple[float, ...]  # indexed by resample_id
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+
+class RecallSamples(_Checked, _RecallSamples):
+    __slots__ = ()
+
+    def __new__(cls, label: str, values: Iterable[float]):
+        return super().__new__(cls, label, tuple(values))
+
+    def _check(self):
         for v in self.values:
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"recall out of [0, 1]: {v}")
 
 
-@dataclass(frozen=True)
-class DistributionSummary:
+class DistributionSummary(NamedTuple):
     mean: float
     std: float | None  # absent when n == 1
     n: int
 
 
-@dataclass(frozen=True)
-class PairedComparison:
+class PairedComparison(NamedTuple):
     rho: float | None  # absent when either side has zero variance
     p_a_gt_b: float
     p_tie: float

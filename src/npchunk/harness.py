@@ -15,18 +15,16 @@ garbage collector off while it runs.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import itertools
 import os
 import zlib
 from collections import defaultdict
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 from . import evalstats, mbsl, winnow
-from .corpus import BUILTIN_GRAMMARS, Corpus, generate_corpus, read_corpus, write_corpus
+from .corpus import BUILTIN_GRAMMARS, Corpus, _Checked, generate_corpus, read_corpus, write_corpus
 from .evalstats import PairedComparison, RecallSamples, RunMetrics
 from .resample import (
     BootstrapPlan,
@@ -55,8 +53,7 @@ _KINDS = {
 _SHORT = {name: alias for _, aliases in _KINDS.values() for alias, name in aliases.items()}
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(NamedTuple):
     """One configured learner: kind plus canonicalized parameter overrides."""
 
     label: str
@@ -69,7 +66,7 @@ class SystemSpec:
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown system kind {self.kind!r}")
         config_cls, aliases = _KINDS[self.kind]
-        defaults = {f.name: f.default for f in dataclasses.fields(config_cls)}
+        defaults = config_cls._field_defaults
         for name, _ in self.params:
             if name not in defaults:
                 known = ", ".join([*aliases, *defaults, "label"])
@@ -120,8 +117,7 @@ def parse_system(spec: str) -> SystemSpec:
     return spec_obj
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class _ExperimentConfig(NamedTuple):
     master_seed: int
     training_corpus: str
     test_corpora: tuple[tuple[str, str], ...]  # (label, path)
@@ -133,7 +129,11 @@ class ExperimentConfig:
     output_dir: str = "out"
     workers: int = 1
 
-    def __post_init__(self):
+
+class ExperimentConfig(_Checked, _ExperimentConfig):
+    __slots__ = ()
+
+    def _check(self):
         if self.method == "bootstrap":
             if self.b < 1:
                 raise ConfigError("bootstrap needs B >= 1")
@@ -300,8 +300,7 @@ def build_plans(config: ExperimentConfig, train: Corpus
     return tasks
 
 
-@dataclass
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     config_hash: str
     samples: dict[tuple[str, str], RecallSamples]
     summaries: dict[tuple[str, str], evalstats.DistributionSummary]
@@ -570,7 +569,7 @@ def _write_report(experiment: _Experiment, report: ExperimentReport, run_metrics
         out_dir / "runs.tsv",
         "system\ttest\tresample_id\trecall\tprecision\tn_gold\tn_predicted\tn_correct",
         (
-            (system, test, rid, *dataclasses.astuple(m))  # recall, precision and the counts
+            (system, test, rid, *m)  # recall, precision and the counts
             for (system, test), metrics in sorted(run_metrics.items())
             for rid, m in enumerate(metrics)
         ),

@@ -70,13 +70,12 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, count
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import ChunkSpan, Corpus, Sentence
+from .corpus import ChunkSpan, Corpus, Sentence, _Checked
 
 
 class Tile(NamedTuple):
@@ -92,14 +91,17 @@ class Tile(NamedTuple):
     closes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MbslConfig:
+class _MbslConfig(NamedTuple):
     context_size: int = 1
     max_tile_len: int = 6
     tile_threshold: float = 0.5
     min_positive_count: int = 1
 
-    def __post_init__(self):
+
+class MbslConfig(_Checked, _MbslConfig):
+    __slots__ = ()
+
+    def _check(self):
         if self.context_size < 0:
             raise ValueError("context_size must be >= 0")
         if self.max_tile_len < 1:
@@ -133,8 +135,7 @@ def _sentence_profiles(tags: tuple[str, ...],
     return list(zip(tags, opening, closing))
 
 
-@dataclass
-class MbslModel:
+class MbslModel(NamedTuple):
     config: MbslConfig
     table: dict[Tile, tuple[int, int]]  # tile -> (pos_count, neg_count)
     max_np_len: int

@@ -16,8 +16,7 @@ of their sentence):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, MutableSequence
+from typing import TYPE_CHECKING, MutableSequence, NamedTuple
 
 if TYPE_CHECKING:  # avoid a circular import; corpus imports PrngStream
     from .corpus import Corpus
@@ -85,8 +84,7 @@ class PlanningError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BootstrapPlan:
+class BootstrapPlan(NamedTuple):
     """One with-replacement draw of sentence indices (repetitions allowed)."""
 
     sentence_indices: tuple[int, ...]
@@ -97,8 +95,7 @@ class BootstrapPlan:
         return f"bootstrap\t{self.resample_id}\t{idx}"
 
 
-@dataclass(frozen=True)
-class CvPlan:
+class CvPlan(NamedTuple):
     """A k-way partition of sentence indices, balanced by instance count."""
 
     k: int

@@ -39,11 +39,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import ChunkSpan, Corpus, Sentence
+from .corpus import ChunkSpan, Corpus, Sentence, _Checked
 from .resample import PrngStream
 
 BOS = "<s>"
@@ -52,14 +51,17 @@ EOS = "</s>"
 Feature = tuple[int, tuple[str, ...]]  # (start offset relative to focus, n-gram)
 
 
-@dataclass(frozen=True)
-class WinnowConfig:
+class _WinnowConfig(NamedTuple):
     promotion: float = 1.5
     demotion: float = 0.5
     threshold: float = 6.0  # number of active features per position
     epochs: int = 2
 
-    def __post_init__(self):
+
+class WinnowConfig(_Checked, _WinnowConfig):
+    __slots__ = ()
+
+    def _check(self):
         if not (math.isfinite(self.promotion) and self.promotion > 1.0):
             raise ValueError("promotion must be finite and > 1")
         if not (0.0 < self.demotion < 1.0):
@@ -162,8 +164,7 @@ class WinnowUnit:
         return mistakes
 
 
-@dataclass
-class WinnowNetwork:
+class WinnowNetwork(NamedTuple):
     begin_unit: WinnowUnit
     end_unit: WinnowUnit
     config: WinnowConfig

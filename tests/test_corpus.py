@@ -138,6 +138,24 @@ class TestIob2Io:
             read_corpus(path)
         assert err.value.line_no == line_no
 
+    @pytest.mark.parametrize("data, line_no, message", [
+        # the undecodable byte past the decoder's first read-ahead block, then
+        # within it: the first fault in the file is reported either way
+        (b"broken line\n" + b"a\tDT\tO\n" * 5000 + b"\xff\tNN\tO\n", 1,
+         "expected 3 tab-separated columns, got 1"),
+        (b"broken line\na\tDT\tO\n\xff\tNN\tO\n", 1, "expected 3 tab-separated columns, got 1"),
+        # a block's chunk tags are checked once all its lines are read
+        (b"a\tDT\tI-NP\n\n\xff\tNN\tO\n", 1, "I-NP not preceded by B-NP/I-NP"),
+        (b"a\tDT\tI-NP\n\xff\tNN\tO\n", 2, "not UTF-8: invalid start byte at b'\\xff'"),
+    ], ids=["past-first-block", "in-first-block", "tag-in-earlier-block", "tag-in-same-block"])
+    def test_first_fault_in_file_order_wins(self, tmp_path, data, line_no, message):
+        path = tmp_path / "c.iob2"
+        path.write_bytes(data)
+        with pytest.raises(CorpusFormatError) as err:
+            read_corpus(path)
+        assert str(err.value) == f"{path}:{line_no}: {message}"
+        assert err.value.line_no == line_no
+
     def test_crlf_file_reads_like_lf(self, tmp_path):
         text = "the\tDT\tB-NP\ndog\tNN\tI-NP\nran\tVBD\tO\n\nI\tPRP\tB-NP\n"
         lf, crlf = tmp_path / "lf.iob2", tmp_path / "crlf.iob2"
@@ -284,3 +302,113 @@ class TestIob2Property:
         with pytest.raises(CorpusFormatError) as err:
             read_corpus(path)
         assert err.value.line_no == line_no
+
+
+def _reference_read(path):
+    """read_corpus as it was, one line at a time: the oracle for the block reader."""
+    seen, sentences, rows, first_line = {}, [], [], 1
+
+    def sentence():
+        spans, open_start = [], -1
+        for offset, (_, _, tag) in enumerate(rows):
+            if tag == "B-NP":
+                if open_start >= 0:
+                    spans.append(ChunkSpan(open_start, offset))
+                open_start = offset
+            elif tag == "I-NP":
+                if open_start < 0:
+                    raise CorpusFormatError(path, first_line + offset,
+                                            "I-NP not preceded by B-NP/I-NP")
+            elif tag == "O":
+                if open_start >= 0:
+                    spans.append(ChunkSpan(open_start, offset))
+                    open_start = -1
+            else:
+                raise CorpusFormatError(path, first_line + offset, f"unknown chunk tag {tag!r}")
+        if open_start >= 0:
+            spans.append(ChunkSpan(open_start, len(rows)))
+        words, tags, _ = zip(*rows)
+        share = seen.setdefault
+        return Sentence(tuple(map(share, words, words)), tuple(map(share, tags, tags)),
+                        tuple(map(share, spans, spans)))
+
+    with open(path, encoding="utf-8", newline="") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\r\n")
+            if not line:
+                if rows:
+                    sentences.append(sentence())
+                    rows = []
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise CorpusFormatError(
+                    path, line_no, f"expected 3 tab-separated columns, got {len(parts)}")
+            if line.split() != parts:
+                raise CorpusFormatError(
+                    path, line_no, f"a field is empty or contains whitespace: {line!r}")
+            if not rows:
+                first_line = line_no
+            rows.append(parts)
+    if rows:
+        sentences.append(sentence())
+    return Corpus(tuple(sentences))
+
+
+@st.composite
+def _iob2_files(draw):
+    """The text of an IOB2 file: a corpus with blank-line runs before, between
+    and after its sentences, each line ended by LF, CRLF or CR, the last
+    maybe by nothing, and at most one fault of one kind."""
+    lines = [""] * draw(st.integers(0, 2))
+    for idx, sentence in enumerate(draw(_CORPORA).sentences):
+        lines += [""] * (idx and draw(st.integers(1, 3)))
+        chunk_tags = ["O"] * len(sentence)
+        for start, end in sentence.gold_spans:
+            chunk_tags[start:end] = ["B-NP"] + ["I-NP"] * (end - start - 1)
+        lines += map("\t".join, zip(sentence.words, sentence.pos_tags, chunk_tags))
+    lines += [""] * draw(st.integers(0, 2))
+    fault = draw(st.sampled_from(["none", "columns", "field", "dangling", "tag", "space"]))
+    tokens = [n for n, line in enumerate(lines) if line]
+    if fault == "space":
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from([" ", "\t", "\u3000", " \t ", "\x1c"])))
+    elif fault != "none" and tokens:
+        n = draw(st.sampled_from(tokens))
+        fields = lines[n].split("\t")
+        if fault == "columns":
+            fields = draw(st.sampled_from([fields[:1], fields[:2], fields + ["O"]]))
+        elif fault == "field":
+            fields[draw(st.integers(0, 2))] = draw(st.sampled_from(["", " ", "a b", "a\u00a0b"]))
+        else:  # an I-NP that may dangle, or a tag outside {B-NP, I-NP, O}
+            fields[2] = "I-NP" if fault == "dangling" else draw(
+                st.sampled_from(["B-VP", "i-np", "X", "B-NPX", "OO"]))
+        lines[n] = "\t".join(fields)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(map(str.__add__, lines, ends))
+    return text[:-len(ends[-1])] if ends and draw(st.booleans()) else text
+
+
+def _outcome(read, path):
+    """The corpus read and which of its words, tags and spans are one object,
+    or the error's message and line."""
+    try:
+        corpus = read(path)
+    except CorpusFormatError as err:
+        return str(err), err.line_no
+    values = [v for s in corpus.sentences for v in s.words + s.pos_tags + s.gold_spans]
+    first: dict = {}
+    return (corpus, [first.setdefault(id(v), n) for n, v in enumerate(values)],
+            [type(v) for v in values])
+
+
+class TestBlockReaderProperty:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @example(text="a\tDT\tB-NP\r\nb\tNN\tI-NP\r\r\n\n c\tVB\tO\n")
+    @example(text="\n\na\tDT\tO\rb\tNN\tI-NP\r\ra\tDT\tB-VP")
+    @given(text=_iob2_files())
+    def test_equals_line_by_line_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("diff") / "c.iob2"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(read_corpus, path) == _outcome(_reference_read, path)

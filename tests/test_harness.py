@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import os
 import re
@@ -423,8 +422,8 @@ class TestRunExperiment:
         # two each; workers=3 gives the parent two, e_full's among them, and
         # each of two children one
         for workers in (2, 3):
-            run_experiment(dataclasses.replace(
-                cfg1, workers=workers, output_dir=str(tmp_path / f"w{workers}")))
+            run_experiment(cfg1._replace(
+                workers=workers, output_dir=str(tmp_path / f"w{workers}")))
         for name in ("summary.tsv", "pairs.tsv", "xcorr.tsv", "plans.tsv", "runs.tsv"):
             expected = (tmp_path / "w1" / name).read_bytes()
             assert (tmp_path / "w2" / name).read_bytes() == expected
@@ -677,12 +676,12 @@ class TestReplay:
     def test_config_stamp_mismatch_detected(self, corpora, tmp_path):
         config = make_config(corpora, tmp_path / "out", b=2)
         run_experiment(config)
-        other = dataclasses.replace(config, systems=(parse_system("winnow"),))
+        other = config._replace(systems=(parse_system("winnow"),))
         with pytest.raises(ConfigError, match="config hash mismatch"):
             replay_resample(other, 0)
         # neither is part of the hash
-        replay_resample(dataclasses.replace(config, workers=3), 0)
-        replay_resample(dataclasses.replace(config, output_dir=f"{tmp_path / 'out'}/."), 0)
+        replay_resample(config._replace(workers=3), 0)
+        replay_resample(config._replace(output_dir=f"{tmp_path / 'out'}/."), 0)
 
 
     def test_corpus_rewritten_in_place_detected(self, corpora, tmp_path):
@@ -852,7 +851,8 @@ class TestCli:
 
     def test_run_leaves_out_hashlib(self, corpora, tmp_path):
         # the corpus and plan digests come from zlib; hashlib would load
-        # OpenSSL, about 3 MiB more peak RSS per run
+        # OpenSSL, about 3 MiB more peak RSS per run. Nor does a run import
+        # dataclasses, which brings inspect, ast, dis and tokenize with it
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             f"master_seed=2\ntrain={corpora['train']}\ntest.a={corpora['a']}\n"
@@ -862,7 +862,8 @@ class TestCli:
             "import sys; from npchunk import cli; "
             "codes = [cli.main(['run', '--config', sys.argv[1]]), "
             "cli.main(['replay', '--config', sys.argv[1], '--resample-id', '1'])]; "
-            "print(codes, sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+            "left_out = {'hashlib', '_hashlib', 'dataclasses', 'inspect'}; "
+            "print(codes, sorted(left_out & set(sys.modules)))"
         ), str(cfg))
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[0, 0] []"
