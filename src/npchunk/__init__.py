@@ -29,7 +29,7 @@ from .evalstats import (
     score_run,
     summarize,
 )
-from .mbsl import MbslConfig, MbslModel, Tile, mbsl_predict, mbsl_train
+from .mbsl import MbslConfig, MbslModel, mbsl_predict, mbsl_train
 from .resample import (
     BootstrapPlan,
     CvPlan,

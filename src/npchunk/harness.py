@@ -580,6 +580,11 @@ def _write_report(experiment: _Experiment, report: ExperimentReport, run_metrics
             "resample_id\trecall",
             ((rid, value) for rid, value in enumerate(sample.values)),
         )
+    # an earlier run's stamped sample file would pass in stats as this run's
+    written = {f"{system}_{test}.tsv" for system, test in report.samples}
+    for path in (out_dir / "samples").glob("*.tsv"):
+        if path.name not in written and path.read_bytes().startswith(b"# config_hash="):
+            path.unlink()
 
 
 def replay_resample(config: ExperimentConfig, resample_id: int) -> list[tuple[str, str, RunMetrics]]:

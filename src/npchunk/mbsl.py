@@ -36,7 +36,9 @@ layout's id, a layout being (length, opens, closes). Per context size and
 tile length it lists the tiles once, each named by (seq id, opens,
 closes), and each key's positive and yielded tile ids, running the tile
 rule once per layout id; training (mbsl_train_counts) pushes the counts to
-tile ids and keeps the tiles some counted key yields.
+tile ids and keeps the tiles some counted key yields, in a table keyed by
+those names. POS tags live only on the edges of the index's seq trie;
+everywhere else a seq is its id, and its length seq_len.
 
 Prediction covers a candidate span (i, j) with a chain of stored tiles whose
 borders sit at i and j, from the opening border to the closing one, adjacent
@@ -76,19 +78,6 @@ from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import ChunkSpan, Corpus, Sentence, _Checked
-
-
-class Tile(NamedTuple):
-    """A POS subsequence with border marks.
-
-    opens lists positions m such that a chunk opens immediately before
-    symbol m; closes lists positions m such that a chunk closes immediately
-    after symbol m.
-    """
-
-    seq: tuple[str, ...]
-    opens: tuple[int, ...]
-    closes: tuple[int, ...]
 
 
 class _MbslConfig(NamedTuple):
@@ -136,8 +125,12 @@ def _sentence_profiles(tags: tuple[str, ...],
 
 
 class MbslModel(NamedTuple):
+    """A trained MBSL model; source.seq_ids decodes the seq ids of table and index."""
+
     config: MbslConfig
-    table: dict[Tile, tuple[int, int]]  # tile -> (pos_count, neg_count)
+    # tile name (seq id, opens, closes) -> (pos_count, neg_count), for the
+    # tiles some counted key yields
+    table: dict[tuple[int, tuple[int, ...], tuple[int, ...]], tuple[int, int]]
     max_np_len: int
     # seq id of source -> [(score, open, close)] for the tiles of that seq that
     # pass the filters, or None; open/close are border positions from the tile
@@ -179,8 +172,10 @@ class ProfileCounts(NamedTuple):
 class _TileMap(NamedTuple):
     """An MbslIndex's tiles at one context size, in table order."""
 
-    tiles: list[Tile]  # in order of first yield; a tile's id is its place here
-    tile_seq: list[int]  # tile id -> seq id
+    # tile id -> its name (seq id, opens, closes), in order of first yield: a
+    # chunk opens just before the seq's tag m for m in opens, and closes just
+    # after its tag m for m in closes
+    names: list[tuple[int, tuple[int, ...], tuple[int, ...]]]
     positive: list[tuple[int, ...]]  # key id -> ids of the tiles it is positive for
     yields: list[tuple[int, ...]]  # key id -> ids of the tiles _window_tiles gives
 
@@ -230,8 +225,9 @@ class MbslIndex:
     map test windows to seq ids.
 
     A key k is named by its seq and its border layout: key_seq[k] is the id
-    of its seq, seqs[i] the seq of id i and seq_parent[i] the id of
-    seqs[i][:-1] (-1 for a one-tag seq); key_layout[k] is the id of its
+    of its seq, seq_len[i] the number of tags of seq i and seq_parent[i]
+    the id of seq i without its last tag (-1 for a one-tag seq), the tags
+    being only on the seq_ids edges; key_layout[k] is the id of its
     layout, and layouts[i] the layout (length, opens, closes) of id i, each
     distinct layout once. parent[k] is the id of k's parent (-1 for a
     one-step key). ends[s] holds, per start of sentence s, the key id of the
@@ -288,7 +284,7 @@ class MbslIndex:
         # by a third over (parent layout id, opens here, closes here), both
         # in key order
         self.seq_ids: dict[tuple[int, str], int] = {}
-        self.seqs: list[tuple[str, ...]] = []
+        self.seq_len: list[int] = []
         self.seq_parent: list[int] = []
         self.key_seq: list[int] = []
         self.layouts: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
@@ -297,9 +293,9 @@ class MbslIndex:
         for up, step in zip(parent, key_step):
             tag, opens_here, closes_here = steps[step]
             up_seq, up_layout = (self.key_seq[up], self.key_layout[up]) if up >= 0 else (-1, -1)
-            s = self.seq_ids.setdefault((up_seq, tag), len(self.seqs))
-            if s == len(self.seqs):
-                self.seqs.append((self.seqs[up_seq] if up_seq >= 0 else ()) + (tag,))
+            s = self.seq_ids.setdefault((up_seq, tag), len(self.seq_len))
+            if s == len(self.seq_len):
+                self.seq_len.append(self.seq_len[up_seq] + 1 if up_seq >= 0 else 1)
                 self.seq_parent.append(up_seq)
             self.key_seq.append(s)
             layout = layout_ids.setdefault((up_layout, opens_here, closes_here), len(self.layouts))
@@ -390,12 +386,7 @@ class MbslIndex:
                 _, opens, closes = self.layouts[layout]
                 positive.append(tuple([t for o, m, t in by_seq.get(s, ())
                                        if (not o or o[0] in opens) and (not m or m[0] in closes)]))
-            tile_map = self._tile_maps[(c, max_tile_len)] = _TileMap(
-                [Tile(self.seqs[s], opens, closes) for s, opens, closes in ids],
-                [s for s, _, _ in ids],
-                positive,
-                yields,
-            )
+            tile_map = self._tile_maps[(c, max_tile_len)] = _TileMap(list(ids), positive, yields)
         return tile_map
 
 
@@ -411,11 +402,10 @@ def mbsl_train_counts(index: MbslIndex, counts: ProfileCounts,
     if config.max_tile_len > index.max_tile_len:
         raise ValueError(f"max_tile_len {config.max_tile_len} exceeds the index's "
                          f"{index.max_tile_len}")
-    tiles, tile_seq, positive, yields = index.tile_map(config.context_size,
-                                                       config.max_tile_len)
-    pos = [0] * len(tiles)
-    total = [0] * len(index.seqs)
-    live = bytearray(len(tiles))
+    names, positive, yields = index.tile_map(config.context_size, config.max_tile_len)
+    pos = [0] * len(names)
+    total = [0] * len(index.seq_len)
+    live = bytearray(len(names))
     key_seq = index.key_seq
     for k, count in enumerate(counts.by_key):
         if count:
@@ -424,24 +414,19 @@ def mbsl_train_counts(index: MbslIndex, counts: ProfileCounts,
                 pos[t] += count
             for t in yields[k]:
                 live[t] = 1
-    table: dict[Tile, tuple[int, int]] = {}
-    entries: list = [None] * len(index.seqs)  # the model's index
-    for t, tile in enumerate(tiles):
-        if not live[t]:
+    table: dict[tuple, tuple[int, int]] = {}
+    entries: list = [None] * len(index.seq_len)  # the model's index
+    for name, tile_pos, is_live in zip(names, pos, live):
+        if not is_live:
             continue
-        tile_pos = pos[t]
-        tile_neg = total[tile_seq[t]] - tile_pos
-        table[tile] = (tile_pos, tile_neg)
+        s, opens, closes = name
+        tile_neg = total[s] - tile_pos
+        table[name] = (tile_pos, tile_neg)
         if tile_pos < config.min_positive_count:
             continue
         score = tile_pos / (tile_pos + tile_neg)
         if score >= config.tile_threshold:
-            entry = (
-                score,
-                tile.opens[0] if tile.opens else None,
-                tile.closes[0] + 1 if tile.closes else None,
-            )
-            s = tile_seq[t]
+            entry = (score, opens[0] if opens else None, closes[0] + 1 if closes else None)
             if entries[s] is None:
                 entries[s] = [entry]
             else:
@@ -473,14 +458,14 @@ def mbsl_predict_interned(model: MbslModel, longest: array) -> list[ChunkSpan]:
     """
     length = len(longest)
     index = model.index
-    seqs, seq_parent = model.source.seqs, model.source.seq_parent
+    seq_len, seq_parent = model.source.seq_len, model.source.seq_parent
     best: dict[tuple[int, int], float] = {}  # (i, j) -> score
     opening: dict[int, dict[int, float]] = defaultdict(dict)  # i -> {end: best score}
     closing: dict[int, dict[int, float]] = defaultdict(dict)  # j -> {start: best score}
     for p, s in enumerate(longest):
         if s < 0:
             continue
-        end = p + len(seqs[s])
+        end = p + seq_len[s]
         while s >= 0:
             for score, open_at, close_at in index[s] or ():
                 if open_at is None:

@@ -76,6 +76,20 @@ def test_benchmark_cache_counts_readable(name):
     assert isinstance(info.hits, int) and isinstance(info.misses, int)
 
 
+def test_benchmark_model_reads():
+    # perfbench/child.py counts mbsl.tiles and winnow.features through these
+    # reads of the models it trains, and trains them through these calls
+    from npchunk import WSJ_LIKE, derive_stream, generate_corpus, mbsl_train, winnow_train
+    from npchunk.harness import parse_system
+
+    corpus = generate_corpus(WSJ_LIKE, 30, derive_stream(1, "gen", 0))
+    model = mbsl_train(corpus, parse_system("mbsl:c=3").build())
+    assert isinstance(len(model.table), int) and len(model.table) > 0
+    net = winnow_train(corpus, parse_system("winnow").build(), derive_stream(1, "train", 0))
+    features = len(net.begin_unit.weights) + len(net.end_unit.weights)
+    assert isinstance(features, int) and features > 0
+
+
 # positional call shapes used by perfbench/child.py and perfbench/workloads.py
 @pytest.mark.parametrize("module, name, n_args", [
     ("npchunk", "mbsl_train", 2),

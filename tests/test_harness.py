@@ -475,6 +475,24 @@ class TestRunExperiment:
         run_experiment(config)
         assert (tmp_path / "out" / "runs.tsv").read_bytes() == first
 
+    def test_rerun_removes_stale_sample_files(self, corpora, tmp_path):
+        # a rerun with one system of two leaves no stamped sample file of the
+        # first run, which stats would pair with its own; an unstamped file stays
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        run_experiment(make_config(corpora, out, b=2))
+        mine = out / "samples" / "mine.tsv"
+        mine.write_text("resample_id\trecall\n0\t0.5\n")
+        one = dict(b=2, systems=(parse_system("mbsl:c=3"),))
+        run_experiment(make_config(corpora, out, **one))
+        run_experiment(make_config(corpora, fresh, **one))
+        listing = sorted(p.name for p in (fresh / "samples").iterdir())
+        assert listing == ["mbsl-c3_a.tsv", "mbsl-c3_b.tsv"]
+        assert sorted(p.name for p in (out / "samples").iterdir()) == listing + ["mine.tsv"]
+        for name in listing:
+            assert (out / "samples" / name).read_bytes() == \
+                (fresh / "samples" / name).read_bytes()
+        assert mine.read_text() == "resample_id\trecall\n0\t0.5\n"
+
     def test_no_profile_outlives_its_index(self, corpora, tmp_path):
         run_experiment(make_config(corpora, tmp_path / "out", b=2))
         assert mbsl._sentence_profiles.cache_info().currsize == 0

@@ -18,7 +18,6 @@ from npchunk.corpus import (
 from npchunk.mbsl import (
     MbslConfig,
     MbslIndex,
-    Tile,
     _window_tiles,
     mbsl_predict,
     mbsl_predict_interned,
@@ -46,27 +45,52 @@ TOY_GRAMMAR = GenreGrammar(
 )
 
 
+def _seqs(index):
+    """Each seq id's tags, by id, decoded through the (parent seq id, tag)
+    edges of index.seq_ids: the only place an index keeps tags."""
+    edges = {s: edge for edge, s in index.seq_ids.items()}
+    assert sorted(edges) == list(range(len(index.seq_len))) == \
+        list(range(len(index.seq_ids)))  # one edge per seq id
+    seqs = [None] * len(edges)
+
+    def decode(s):
+        if seqs[s] is None:
+            up, tag = edges[s]
+            seqs[s] = (decode(up) if up >= 0 else ()) + (tag,)
+        return seqs[s]
+
+    return [decode(s) for s in range(len(seqs))]
+
+
+def _table(model):
+    """model.table keyed by (tags, opens, closes): each tile name's seq id
+    decoded through the model's index, in table order."""
+    seqs = _seqs(model.source)
+    return {(seqs[s], opens, closes): counts
+            for (s, opens, closes), counts in model.table.items()}
+
+
 class TestTraining:
     def test_tile_extraction_example(self):
         corpus = Corpus((sent(["DT", "NN", "VBD"], [(0, 2)]),))
         model = mbsl_train(corpus, MbslConfig(context_size=1, max_tile_len=3))
         expected = {
-            Tile(("DT",), (0,), ()),                # [DT
-            Tile(("NN",), (), (0,)),                # NN]
-            Tile(("NN", "VBD"), (), (0,)),          # NN] VBD
-            Tile(("DT", "NN"), (0,), (1,)),         # [DT NN]
-            Tile(("DT", "NN", "VBD"), (0,), (1,)),  # [DT NN] VBD
+            (("DT",), (0,), ()),                # [DT
+            (("NN",), (), (0,)),                # NN]
+            (("NN", "VBD"), (), (0,)),          # NN] VBD
+            (("DT", "NN"), (0,), (1,)),         # [DT NN]
+            (("DT", "NN", "VBD"), (0,), (1,)),  # [DT NN] VBD
         }
-        assert set(model.table) == expected
-        assert all(counts == (1, 0) for counts in model.table.values())
+        assert set(_table(model)) == expected
+        assert all(counts == (1, 0) for counts in _table(model).values())
 
     def test_bootstrap_multiplicity_doubles_counts(self):
         s = sent(["DT", "NN", "VBD"], [(0, 2)])
         single = mbsl_train(Corpus((s,)), MbslConfig(1, 3))
         double = mbsl_train(Corpus((s, s)), MbslConfig(1, 3))
-        assert set(single.table) == set(double.table)
-        for tile, (pos, neg) in single.table.items():
-            assert double.table[tile] == (2 * pos, 2 * neg)
+        assert set(_table(single)) == set(_table(double))
+        for tile, (pos, neg) in _table(single).items():
+            assert _table(double)[tile] == (2 * pos, 2 * neg)
 
     def test_negative_counting(self):
         # "DT NN" once inside a span, once fully outside
@@ -75,8 +99,8 @@ class TestTraining:
             sent(["IN", "DT", "NN"], []),
         ))
         model = mbsl_train(corpus, MbslConfig(context_size=1, max_tile_len=3))
-        assert model.table[Tile(("DT", "NN"), (0,), (1,))] == (1, 1)
-        assert model.table[Tile(("DT",), (0,), ())] == (1, 1)
+        assert _table(model)[(("DT", "NN"), (0,), (1,))] == (1, 1)
+        assert _table(model)[(("DT",), (0,), ())] == (1, 1)
 
     def test_partial_border_is_negative(self):
         # "NN" inside a longer span has a close border but no open border
@@ -85,34 +109,36 @@ class TestTraining:
             sent(["DT", "NN", "VBD"], [(0, 2)]),
         ))
         model = mbsl_train(corpus, MbslConfig(context_size=1, max_tile_len=3))
-        pos, neg = model.table[Tile(("NN",), (0,), (0,))]
+        pos, neg = _table(model)[(("NN",), (0,), (0,))]
         assert (pos, neg) == (1, 1)
 
     def test_empty_gold_spans_empty_model(self):
         corpus = Corpus((sent(["DT", "NN"], []),))
         model = mbsl_train(corpus, MbslConfig())
-        assert model.table == {}
+        assert _table(model) == {}
 
     def test_training_permutation_invariant(self):
         corpus = generate_corpus(TOY_GRAMMAR, 40, derive_stream(3, "gen", 0))
         reversed_corpus = Corpus(tuple(reversed(corpus.sentences)))
         a = mbsl_train(corpus, MbslConfig(context_size=2))
         b = mbsl_train(reversed_corpus, MbslConfig(context_size=2))
-        assert a.table == b.table
+        # the two indexes number their seqs apart
+        assert _table(a) == _table(b)
 
     def test_training_deterministic(self):
         corpus = generate_corpus(TOY_GRAMMAR, 50, derive_stream(9, "gen", 0))
         a = mbsl_train(corpus, MbslConfig(context_size=2))
         b = mbsl_train(corpus, MbslConfig(context_size=2))
         assert list(a.table.items()) == list(b.table.items())
+        assert list(_table(a).items()) == list(_table(b).items())
         assert a.max_np_len == b.max_np_len
 
     def test_monotone_context(self):
         corpus = generate_corpus(TOY_GRAMMAR, 60, derive_stream(4, "gen", 0))
         small = mbsl_train(corpus, MbslConfig(context_size=1))
         large = mbsl_train(corpus, MbslConfig(context_size=3))
-        for tile, counts in small.table.items():
-            assert large.table[tile] == counts
+        for tile, counts in _table(small).items():
+            assert _table(large)[tile] == counts
 
 
 class TestPrediction:
@@ -179,22 +205,23 @@ def _span_tiles(sentence, c, max_tile_len):
         for left in range(min(c, start) + 1):
             for right in range(min(c, length - end) + 1):
                 if left + end - start + right <= max_tile_len:
-                    tiles.add(Tile(tags[start - left:end + right], (left,),
-                                   (left + end - start - 1,)))
+                    tiles.add((tags[start - left:end + right], (left,),
+                               (left + end - start - 1,)))
         for inside in range(1, min(c, end - start) + 1):
             for outside in range(min(c, start) + 1):
                 if inside + outside <= max_tile_len:
-                    tiles.add(Tile(tags[start - outside:start + inside], (outside,), ()))
+                    tiles.add((tags[start - outside:start + inside], (outside,), ()))
             for outside in range(min(c, length - end) + 1):
                 if inside + outside <= max_tile_len:
-                    tiles.add(Tile(tags[end - inside:end + outside], (), (inside - 1,)))
+                    tiles.add((tags[end - inside:end + outside], (), (inside - 1,)))
     return tiles
 
 
 def _entries_by_seq(model):
     """The model's tile entries keyed by seq, not by its own index's seq ids,
     each seq's as a multiset: two indexes number their tiles apart."""
-    return {model.source.seqs[s]: Counter(entries)
+    seqs = _seqs(model.source)
+    return {seqs[s]: Counter(entries)
             for s, entries in enumerate(model.index) if entries is not None}
 
 
@@ -216,8 +243,9 @@ class TestTileRule:
         index = MbslIndex(corpus, max_tile_len)
         model = mbsl_train_counts(index, index.counts(ids), cfg)
         expected = set().union(*(_span_tiles(s, c, max_tile_len) for s in view.sentences))
-        assert model.table.keys() == expected
-        for tile, counts in model.table.items():
+        table = _table(model)
+        assert table.keys() == expected
+        for tile, counts in table.items():
             assert counts == _window_counts(view, tile)
         reference = mbsl_train(view, cfg)
         assert _entries_by_seq(model) == _entries_by_seq(reference)
@@ -238,33 +266,36 @@ class TestTileRule:
         index = MbslIndex(corpus, index_len)
         max_tile_len = max(1, index_len - shorter_by)
         keys = _keys(index)
-        assert len(set(index.seqs)) == len(index.seqs)
+        seqs = _seqs(index)
+        assert len(set(seqs)) == len(seqs)
+        assert index.seq_len == [len(seq) for seq in seqs]
         assert [index.layouts[layout][0] for layout in index.key_layout] == \
-            [len(index.seqs[s]) for s in index.key_seq]
-        assert [index.seqs[s] if s >= 0 else () for s in index.seq_parent] == \
-            [seq[:-1] for seq in index.seqs]
+            [len(seqs[s]) for s in index.key_seq]
+        assert [seqs[s] if s >= 0 else () for s in index.seq_parent] == \
+            [seq[:-1] for seq in seqs]
         yielded = [
-            [Tile(seq, *marks) for marks in _window_tiles(len(seq), opens, closes, c)]
+            [(seq, *marks) for marks in _window_tiles(len(seq), opens, closes, c)]
             if len(seq) <= max_tile_len else []
             for seq, opens, closes in keys
         ]
         tiles = set(chain.from_iterable(yielded))
         tile_map = index.tile_map(c, max_tile_len)
-        assert len(tile_map.tiles) == len(tiles) and set(tile_map.tiles) == tiles
-        assert tile_map.tile_seq == [index.seqs.index(tile.seq) for tile in tile_map.tiles]
+        names = [(seqs[s], opens, closes) for s, opens, closes in tile_map.names]
+        assert len(names) == len(tiles) and set(names) == tiles
         # each key's positive tiles in the order of their marks
-        assert [tuple(tile_map.tiles[t] for t in ids) for ids in tile_map.positive] == [
-            tuple(tile for tile in sorted(tiles) if tile.seq == seq
-                  and set(tile.opens).issubset(opens) and set(tile.closes).issubset(closes))
+        assert [tuple(names[t] for t in ids) for ids in tile_map.positive] == [
+            tuple((tags, o, m) for tags, o, m in sorted(tiles) if tags == seq
+                  and set(o).issubset(opens) and set(m).issubset(closes))
             for seq, opens, closes in keys
         ]
-        assert [[tile_map.tiles[t] for t in ids] for ids in tile_map.yields] == yielded
+        assert [[names[t] for t in ids] for ids in tile_map.yields] == yielded
 
 
 def _keys(index):
     """Each key's (seq, opens, closes), by key id, from its seq id and its
     layout id."""
-    return [(index.seqs[s], *index.layouts[layout][1:])
+    seqs = _seqs(index)
+    return [(seqs[s], *index.layouts[layout][1:])
             for s, layout in zip(index.key_seq, index.key_layout)]
 
 
@@ -394,7 +425,7 @@ class TestProfileIndex:
             cfg = MbslConfig(c, max_tile_len)
             model = mbsl_train_counts(index, counts, cfg)
             reference = mbsl_train(view, cfg)
-            assert model.table == reference.table
+            assert _table(model) == _table(reference)
             assert _entries_by_seq(model) == _entries_by_seq(reference)
             assert model.max_np_len == reference.max_np_len
 
@@ -408,15 +439,16 @@ class TestProfileIndex:
 def _window_counts(corpus, tile):
     """(pos, neg) by brute force: every window of corpus with the tile's tags,
     positive when gold borders sit at all of the tile's marks."""
+    seq, opens, closes = tile
     pos = neg = 0
     for sentence in corpus.sentences:
         starts = {start for start, _ in sentence.gold_spans}
         ends = {end for _, end in sentence.gold_spans}
-        for p in range(len(sentence) - len(tile.seq) + 1):
-            if sentence.pos_tags[p:p + len(tile.seq)] != tile.seq:
+        for p in range(len(sentence) - len(seq) + 1):
+            if sentence.pos_tags[p:p + len(seq)] != seq:
                 continue
-            if (all(p + o in starts for o in tile.opens)
-                    and all(p + m + 1 in ends for m in tile.closes)):
+            if (all(p + o in starts for o in opens)
+                    and all(p + m + 1 in ends for m in closes)):
                 pos += 1
             else:
                 neg += 1
@@ -432,20 +464,19 @@ def _chain_score(model, tiles_by_seq, tags, i, j):
     placed = []  # (score, start, end, carries_open, carries_close)
     for p in range(max(0, i - c), min(len(tags), j + c)):
         for end in range(p + 1, min(len(tags), j + c, p + cfg.max_tile_len) + 1):
-            for tile in tiles_by_seq.get(tags[p:end], ()):
-                pos, neg = model.table[tile]
+            for opens, closes, (pos, neg) in tiles_by_seq.get(tags[p:end], ()):
                 if pos < cfg.min_positive_count:
                     continue
                 score = pos / (pos + neg)
                 if score < cfg.tile_threshold:
                     continue
-                if tile.opens and p + tile.opens[0] != i:
+                if opens and p + opens[0] != i:
                     continue
-                if tile.closes and p + tile.closes[0] + 1 != j:
+                if closes and p + closes[0] + 1 != j:
                     continue
-                if not tile.closes and end > j or not tile.opens and p < i:
+                if not closes and end > j or not opens and p < i:
                     continue  # would run past the candidate's other border
-                placed.append((score, p, end, bool(tile.opens), bool(tile.closes)))
+                placed.append((score, p, end, bool(opens), bool(closes)))
     for threshold in sorted({t[0] for t in placed}, reverse=True):
         usable = [t for t in placed if t[0] >= threshold]
         seen = [t for t in usable if t[3]]
@@ -463,9 +494,9 @@ def _chain_score(model, tiles_by_seq, tags, i, j):
 
 def _oracle_predict(model, sentence):
     tags = sentence.pos_tags
-    tiles_by_seq = {}
-    for tile in model.table:
-        tiles_by_seq.setdefault(tile.seq, []).append(tile)
+    tiles_by_seq = {}  # tags -> [(opens, closes, (pos, neg))]
+    for (seq, opens, closes), counts in _table(model).items():
+        tiles_by_seq.setdefault(seq, []).append((opens, closes, counts))
     covered = []
     for i in range(len(tags)):
         for j in range(i + 1, min(len(tags), i + model.max_np_len) + 1):
@@ -517,7 +548,7 @@ class TestPairRule:
         index = MbslIndex(corpus, max_tile_len)
         sentences = list(corpus.sentences) + [sent(tags, []) for tags in probes]
         interned = [index.intern(sentence.pos_tags) for sentence in sentences]
-        seq_ids = {seq: s for s, seq in enumerate(index.seqs)}
+        seq_ids = {seq: s for s, seq in enumerate(_seqs(index))}
         for sentence, starts in zip(sentences, interned):
             # the id of the longest window at each start that is a seq
             tags = sentence.pos_tags
@@ -528,18 +559,18 @@ class TestPairRule:
             ]
         for ids in (range(len(corpus)), [pick % len(corpus) for pick in picks]):
             model = mbsl_train_counts(index, index.counts(ids), cfg)
-            for tile in model.table:
+            for seq, opens, closes in _table(model):
                 # every tile carries a border, with at most c tags outside it,
                 # and a single-border tile holds 1..c tags inside
-                assert tile.opens or tile.closes
-                if tile.opens:
-                    assert tile.opens[0] <= c
-                if tile.closes:
-                    assert len(tile.seq) - 1 - tile.closes[0] <= c
-                if not tile.closes:
-                    assert 1 <= len(tile.seq) - tile.opens[0] <= c
-                if not tile.opens:
-                    assert 1 <= tile.closes[0] + 1 <= c
+                assert opens or closes
+                if opens:
+                    assert opens[0] <= c
+                if closes:
+                    assert len(seq) - 1 - closes[0] <= c
+                if not closes:
+                    assert 1 <= len(seq) - opens[0] <= c
+                if not opens:
+                    assert 1 <= closes[0] + 1 <= c
             for sentence, starts in zip(sentences, interned):
                 expected = _oracle_predict(model, sentence)
                 assert mbsl_predict_interned(model, starts) == expected
