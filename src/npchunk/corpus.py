@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import NamedTuple, NoReturn, Sequence
+from typing import Collection, NamedTuple, NoReturn, Sequence
 
 from .resample import PrngStream
 
@@ -127,6 +127,13 @@ class Corpus(_Frozen):
 
     def instance_count(self) -> int:
         return sum(len(s.gold_spans) for s in self.sentences)
+
+
+def _check_ids(ids: Collection[int], n: int) -> None:
+    """Each sentence id must be in range(n); else a ValueError names the lowest or highest."""
+    if ids and not 0 <= min(ids) <= max(ids) < n:
+        bad = min(ids) if min(ids) < 0 else max(ids)
+        raise ValueError(f"sentence id {bad} is outside range({n})")
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@
 
 Exact-match span scoring feeds per-run recall values; across resamples these
 form empirical distributions that are summarized (mean, sample std) and
-compared pairwise (Pearson correlation, P(A>B) with ties reported
-separately, and the std of the difference). Sample (n-1) conventions are
-used throughout, including covariance, so that
-
-    var(a - b) = var(a) + var(b) - 2*cov(a, b)
-
-holds as an exact algebraic identity.
+compared pairwise. A comparison reads the paired differences d = a - b: the
+std of the difference is the sample std of d, P(A>B) the share of d above 0
+and ties, reported separately, the share equal to 0 (for finite floats,
+x > y iff x - y > 0 and x == y iff x - y == 0). Pearson's correlation comes
+from each side's own moments and is absent when either side's variance is 0.
+Sample (n-1) conventions are used throughout, including covariance, so that
+var(a - b) = var(a) + var(b) - 2*cov(a, b) holds for d up to rounding.
 
 Precision is computed per run but never aggregated into distributions: the
 set of predicted instances varies from run to run, so precision values from
@@ -120,16 +120,9 @@ def compare_paired(a: RecallSamples, b: RecallSamples) -> PairedComparison:
     cov = _sum(
         (x - mean_a) * (y - mean_b) for x, y in zip(a.values, b.values)
     ) / (n - 1)
-    if var_a > 0.0 and var_b > 0.0:
-        std_a = math.sqrt(var_a)
-        std_b = math.sqrt(var_b)
-        rho: float | None = cov / (std_a * std_b)
-        sigma_diff = math.sqrt(max(0.0, var_a + var_b - 2.0 * std_a * std_b * rho))
-    else:
-        rho = None
-        diffs = [x - y for x, y in zip(a.values, b.values)]
-        mean_d = _mean(diffs)
-        sigma_diff = math.sqrt(_sample_var(diffs, mean_d))
-    greater = sum(1 for x, y in zip(a.values, b.values) if x > y)
-    ties = sum(1 for x, y in zip(a.values, b.values) if x == y)
+    rho = cov / (math.sqrt(var_a) * math.sqrt(var_b)) if var_a > 0.0 and var_b > 0.0 else None
+    diffs = [x - y for x, y in zip(a.values, b.values)]
+    sigma_diff = math.sqrt(_sample_var(diffs, _mean(diffs)))
+    greater = sum(1 for d in diffs if d > 0.0)
+    ties = diffs.count(0.0)
     return PairedComparison(rho, greater / n, ties / n, sigma_diff)

@@ -77,7 +77,7 @@ from itertools import chain, count
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import ChunkSpan, Corpus, Sentence, _Checked
+from .corpus import ChunkSpan, Corpus, Sentence, _check_ids, _Checked
 
 
 class _MbslConfig(NamedTuple):
@@ -316,11 +316,7 @@ class MbslIndex:
         ValueError.
         """
         mult = Counter(ids)
-        n = len(self.ends)
-        if mult:
-            low, high = min(mult), max(mult)
-            if low < 0 or high >= n:
-                raise ValueError(f"sentence id {low if low < 0 else high} is outside range({n})")
+        _check_ids(mult, len(self.ends))
         by_key = self.full.copy()
         for s, ends in enumerate(self.ends):
             extra = mult.get(s, 0) - 1
@@ -367,7 +363,7 @@ class MbslIndex:
         per layout id. A tile is named by (seq id, opens, closes) and
         numbered in the order the keys, by id, first yield it. A key is
         positive for each tile of its seq whose marks it carries, listed in
-        mark order.
+        increasing tile-id order.
         """
         tile_map = self._tile_maps.get((c, max_tile_len))
         if tile_map is None:
@@ -377,9 +373,9 @@ class MbslIndex:
             ids: dict[tuple, int] = {}
             yields = [tuple([ids.setdefault((s, *marks), len(ids)) for marks in rules[layout]])
                       for s, layout in zip(self.key_seq, self.key_layout)]
-            # seq id -> [(opens, closes, tile id)] of its tiles, in mark order
+            # seq id -> [(opens, closes, tile id)] of its tiles, in tile-id order
             by_seq: defaultdict[int, list] = defaultdict(list)
-            for (s, opens, closes), t in sorted(ids.items()):
+            for (s, opens, closes), t in ids.items():
                 by_seq[s].append((opens, closes, t))
             positive = []
             for s, layout in zip(self.key_seq, self.key_layout):

@@ -42,7 +42,7 @@ from array import array
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import ChunkSpan, Corpus, Sentence, _Checked
+from .corpus import ChunkSpan, Corpus, Sentence, _check_ids, _Checked
 from .resample import PrngStream
 
 BOS = "<s>"
@@ -173,13 +173,14 @@ class WinnowNetwork(NamedTuple):
 def winnow_train_ids(index: WinnowIndex, ids: Sequence[int], config: WinnowConfig,
                      rng: PrngStream) -> WinnowNetwork:
     """Online training over the indexed sentences `ids` (repeats allowed),
-    in rng-shuffled order.
+    in rng-shuffled order; an id that names no sentence is a ValueError.
 
     Each epoch shuffles the previous epoch's order in place; both units
     train over the same orders, each in one pass over the rows.
     """
     if not ids:
         raise ValueError("cannot train on an empty corpus")
+    _check_ids(ids, len(index.rows))
     order = list(ids)
     orders = []
     for _ in range(config.epochs):

@@ -148,6 +148,16 @@ class TestComparePaired:
         assert comparison.rho is None
         assert comparison.sigma_diff == pytest.approx(oracle_std([0.4, 0.3, 0.2]))
 
+    def test_identical_samples_have_zero_sigma_diff(self):
+        # recalls 163/300, 60/300 and 189/300, as mbsl-c1 and mbsl-c3 both
+        # give on wsj1 in the golden run; var_a + var_b - 2*cov does not
+        # cancel to 0.0 on them
+        a = RecallSamples("a", (0.5433333333333333, 0.2, 0.63))
+        comparison = compare_paired(a, a)
+        assert comparison.sigma_diff == 0.0
+        assert comparison.p_tie == 1.0
+        assert comparison.p_a_gt_b == 0.0
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             compare_paired(RecallSamples("a", (0.1, 0.2)), RecallSamples("b", (0.1,)))

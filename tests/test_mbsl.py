@@ -282,10 +282,10 @@ class TestTileRule:
         tile_map = index.tile_map(c, max_tile_len)
         names = [(seqs[s], opens, closes) for s, opens, closes in tile_map.names]
         assert len(names) == len(tiles) and set(names) == tiles
-        # each key's positive tiles in the order of their marks
-        assert [tuple(names[t] for t in ids) for ids in tile_map.positive] == [
-            tuple((tags, o, m) for tags, o, m in sorted(tiles) if tags == seq
-                  and set(o).issubset(opens) and set(m).issubset(closes))
+        # each key's positive tiles in increasing tile-id order
+        assert [list(ids) for ids in tile_map.positive] == [
+            [t for t, (tags, o, m) in enumerate(names) if tags == seq
+             and set(o).issubset(opens) and set(m).issubset(closes)]
             for seq, opens, closes in keys
         ]
         assert [[names[t] for t in ids] for ids in tile_map.yields] == yielded

@@ -338,6 +338,15 @@ class TestTrainPredict:
         with pytest.raises(ValueError):
             winnow_train(Corpus(()), WinnowConfig(), PrngStream(0))
 
+    def test_train_rejects_unknown_ids(self):
+        # -1 would index the last sentence and len(corpus) past the end;
+        # both are rejected as MbslIndex.counts rejects them
+        corpus = Corpus((sent(["DT", "NN"], [(0, 2)]), sent(["VBD"], [])))
+        index = WinnowIndex(corpus)
+        for bad in (-1, 2):
+            with pytest.raises(ValueError, match=f"sentence id {bad} is outside range\\(2\\)"):
+                winnow_train_ids(index, [0, bad, 1], WinnowConfig(), PrngStream(0))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             WinnowConfig(promotion=1.0)
