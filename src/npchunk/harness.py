@@ -6,11 +6,12 @@ each trained model on every test corpus, and aggregates recall
 distributions. Output is a set of TSV files; given a fixed config (seed
 included) they are byte-identical across runs and across worker counts.
 
-The training corpus is indexed, its MBSL tile maps made and every test
-corpus interned once per experiment, before any worker is forked; e_full's
-training is one more task, and a pooled run's parent computes a share of the
-tasks. A run makes no reference cycles, so run_experiment keeps the cyclic
-garbage collector off while it runs.
+The training corpus is indexed, every test corpus interned and the MBSL
+tile maps made once per experiment, before any worker is forked; the tile
+maps cover only the seqs the interned test corpora serve, since prediction
+reads no other. e_full's training is one more task, and a pooled run's
+parent computes a share of the tasks. A run makes no reference cycles, so
+run_experiment keeps the cyclic garbage collector off while it runs.
 """
 
 from __future__ import annotations
@@ -318,8 +319,9 @@ def _fmt(value) -> str:
 
 
 class _Experiment:
-    """One config's corpora, resolved systems, training indexes and MBSL
-    tile maps, interned test corpora, resampling tasks and plan digests.
+    """One config's corpora, resolved systems, training indexes, interned
+    test corpora, the MBSL seqs they serve and those seqs' tile maps,
+    resampling tasks and plan digests.
 
     `run` and `replay` each build one, and no task adds to it. Every
     resample, and the full-corpus training behind e_full, goes through
@@ -342,23 +344,28 @@ class _Experiment:
         self.tasks = build_plans(config, self.train)
         self.systems = tuple((spec, spec.build()) for spec in config.systems)
         # interned once, before any worker starts, for every training: one
-        # MBSL index at the longest tile length, with every MBSL system's tile map
+        # MBSL index at the longest tile length
         mbsl_cfgs = [cfg for spec, cfg in self.systems if spec.kind == "mbsl"]
         self.mbsl_index = (mbsl.MbslIndex(self.train, max(c.max_tile_len for c in mbsl_cfgs))
                            if mbsl_cfgs else None)
-        for cfg in mbsl_cfgs:
-            self.mbsl_index.tile_map(cfg.context_size, cfg.max_tile_len)
         self.winnow_index = (
             winnow.WinnowIndex(self.train)
             if any(spec.kind == "winnow" for spec in config.systems) else None
         )
         # every test corpus interned once, for every trained model, per learner
         self.interned: dict[str, tuple] = {}
+        self.mbsl_served = None
         if self.mbsl_index is not None:
             self.interned["mbsl"] = tuple(
                 [self.mbsl_index.intern(s.pos_tags) for s in corpus.sentences]
                 for _, corpus in self.tests
             )
+            # prediction reads only the seqs the test corpora serve, so every
+            # MBSL system's tile map covers those alone
+            self.mbsl_served = self.mbsl_index.served(
+                itertools.chain.from_iterable(self.interned["mbsl"]))
+            for cfg in mbsl_cfgs:
+                self.mbsl_index.tile_map(cfg.context_size, cfg.max_tile_len, self.mbsl_served)
         if self.winnow_index is not None:
             self.interned["winnow"] = tuple(
                 winnow.intern_windows(corpus.sentences) for _, corpus in self.tests
@@ -386,7 +393,7 @@ class _Experiment:
         results = {}
         for spec, cfg in self.systems:
             if spec.kind == "mbsl":
-                model = mbsl.mbsl_train_counts(self.mbsl_index, counts, cfg)
+                model = mbsl.mbsl_train_counts(self.mbsl_index, counts, cfg, self.mbsl_served)
             else:
                 rng = derive_stream(
                     self.config.master_seed, f"{purpose}:{spec.label}", resample_id

@@ -40,6 +40,15 @@ tile ids and keeps the tiles some counted key yields, in a table keyed by
 those names. POS tags live only on the edges of the index's seq trie;
 everywhere else a seq is its id, and its length seq_len.
 
+A tile's counts read only the keys of its seq, so a tile map may cover a
+set of served seqs alone: the seqs of the sentences a model will predict,
+closed under seq_parent (MbslIndex.served). Its tiles, their order within
+each seq and their counts are then the full map's for every served seq;
+an unserved seq has no tiles. An experiment makes its tile maps over the
+seqs of its interned test corpora, so its models' tables and indexes cover
+those seqs only; mbsl_train, and a tile map asked for without a served
+set, cover every seq.
+
 Prediction covers a candidate span (i, j) with a chain of stored tiles whose
 borders sit at i and j, from the opening border to the closing one, adjacent
 tiles overlapping in at least one POS position, and every tile scoring
@@ -129,12 +138,12 @@ class MbslModel(NamedTuple):
 
     config: MbslConfig
     # tile name (seq id, opens, closes) -> (pos_count, neg_count), for the
-    # tiles some counted key yields
+    # tiles some counted key yields, of the served seqs if training named them
     table: dict[tuple[int, tuple[int, ...], tuple[int, ...]], tuple[int, int]]
     max_np_len: int
     # seq id of source -> [(score, open, close)] for the tiles of that seq that
-    # pass the filters, or None; open/close are border positions from the tile
-    # start, None if not carried
+    # pass the filters, or None (always, for a seq outside the served set);
+    # open/close are border positions from the tile start, None if not carried
     index: list[list[tuple[float, int | None, int | None]] | None]
     source: MbslIndex  # the index trained from, whose seq ids key index
 
@@ -170,14 +179,16 @@ class ProfileCounts(NamedTuple):
 
 
 class _TileMap(NamedTuple):
-    """An MbslIndex's tiles at one context size, in table order."""
+    """An MbslIndex's tiles at one context size, in table order, over the
+    keys it covers: every key, or the keys of a set of served seqs."""
 
     # tile id -> its name (seq id, opens, closes), in order of first yield: a
     # chunk opens just before the seq's tag m for m in opens, and closes just
     # after its tag m for m in closes
     names: list[tuple[int, tuple[int, ...], tuple[int, ...]]]
-    positive: list[tuple[int, ...]]  # key id -> ids of the tiles it is positive for
-    yields: list[tuple[int, ...]]  # key id -> ids of the tiles _window_tiles gives
+    keys: Sequence[int]  # the key ids covered, increasing; positive and yields align with them
+    positive: list[tuple[int, ...]]  # covered key -> ids of the tiles it is positive for
+    yields: list[tuple[int, ...]]  # covered key -> ids of the tiles _window_tiles gives
 
 
 def _add_key(edges: dict[int, int], parent: list[int], key_step: list[int],
@@ -235,9 +246,11 @@ class MbslIndex:
     many starts of all the sentences end at key k, from which counts(ids)
     starts.
     The index is the only store of these profiles, and nothing is kept
-    between experiments. tile_map(c, max_tile_len) lists the tiles the keys
-    yield at context size c and that tile length, made on the first call and
-    kept; an experiment makes its tile maps before any training.
+    between experiments. tile_map(c, max_tile_len, served) lists the tiles
+    the keys of the served seqs (all keys, if served is None) yield at
+    context size c and that tile length, made on the first call and kept;
+    an experiment makes its tile maps, over the seqs its test corpora serve,
+    before any training.
     """
 
     def __init__(self, corpus: Corpus, max_tile_len: int):
@@ -304,7 +317,7 @@ class MbslIndex:
                 self.layouts.append((at + 1, opens + (at,) if opens_here else opens,
                                      closes + (at,) if closes_here else closes))
             self.key_layout.append(layout)
-        self._tile_maps: dict[tuple[int, int], _TileMap] = {}
+        self._tile_maps: dict[tuple[int, int, frozenset[int] | None], _TileMap] = {}
 
     def counts(self, ids: Iterable[int]) -> ProfileCounts:
         """The profile counts of the sentences ids, each as often as it occurs.
@@ -353,75 +366,101 @@ class MbslIndex:
                 longest[p] = s
         return longest
 
-    def tile_map(self, c: int, max_tile_len: int) -> _TileMap:
-        """The tiles every key yields at context size c and tile length
-        max_tile_len, with each key's positive and yielded tile ids; built
-        once per (c, max_tile_len). A key longer than max_tile_len yields no
+    def served(self, interned: Iterable[array]) -> frozenset[int]:
+        """The seqs that prediction on the interned sentences reads: each
+        start's longest seq (intern) and all of its seq_parent ancestors."""
+        served: set[int] = set()
+        seq_parent = self.seq_parent
+        for s in set(chain.from_iterable(interned)):
+            while s >= 0 and s not in served:
+                served.add(s)
+                s = seq_parent[s]
+        return frozenset(served)
+
+    def tile_map(self, c: int, max_tile_len: int,
+                 served: frozenset[int] | None = None) -> _TileMap:
+        """The tiles the keys of the served seqs (every key, if served is
+        None) yield at context size c and tile length max_tile_len, with
+        each covered key's positive and yielded tile ids; built once per
+        (c, max_tile_len, served). A key longer than max_tile_len yields no
         tile, so no tile has its seq and it is positive for none.
 
         _window_tiles reads only a key's border layout, so the rule runs once
         per layout id. A tile is named by (seq id, opens, closes) and
-        numbered in the order the keys, by id, first yield it. A key is
-        positive for each tile of its seq whose marks it carries, listed in
-        increasing tile-id order.
+        numbered in the order the covered keys, by id, first yield it. Only
+        keys of its seq yield a tile or are positive for it, so a served
+        seq's tiles come in the full map's order. A key is positive for each
+        tile of its seq whose marks it carries, listed in increasing tile-id
+        order.
         """
-        tile_map = self._tile_maps.get((c, max_tile_len))
+        tile_map = self._tile_maps.get((c, max_tile_len, served))
         if tile_map is None:
+            key_seq, key_layout = self.key_seq, self.key_layout
+            keys = (range(len(key_seq)) if served is None else
+                    [k for k, s in enumerate(key_seq) if s in served])
             rules = [_window_tiles(*layout, c) if layout[0] <= max_tile_len else []
                      for layout in self.layouts]
             # (seq id, opens, closes) -> tile id, in order of first yield
             ids: dict[tuple, int] = {}
-            yields = [tuple([ids.setdefault((s, *marks), len(ids)) for marks in rules[layout]])
-                      for s, layout in zip(self.key_seq, self.key_layout)]
+            yields = [tuple([ids.setdefault((key_seq[k], *marks), len(ids))
+                             for marks in rules[key_layout[k]]])
+                      for k in keys]
             # seq id -> [(opens, closes, tile id)] of its tiles, in tile-id order
             by_seq: defaultdict[int, list] = defaultdict(list)
             for (s, opens, closes), t in ids.items():
                 by_seq[s].append((opens, closes, t))
             positive = []
-            for s, layout in zip(self.key_seq, self.key_layout):
-                _, opens, closes = self.layouts[layout]
-                positive.append(tuple([t for o, m, t in by_seq.get(s, ())
+            for k in keys:
+                _, opens, closes = self.layouts[key_layout[k]]
+                positive.append(tuple([t for o, m, t in by_seq.get(key_seq[k], ())
                                        if (not o or o[0] in opens) and (not m or m[0] in closes)]))
-            tile_map = self._tile_maps[(c, max_tile_len)] = _TileMap(list(ids), positive, yields)
+            tile_map = self._tile_maps[(c, max_tile_len, served)] = _TileMap(
+                list(ids), keys, positive, yields)
         return tile_map
 
 
-def mbsl_train_counts(index: MbslIndex, counts: ProfileCounts,
-                      config: MbslConfig) -> MbslModel:
-    """Train on the profile counts of index's sentences that counts sums.
+def mbsl_train_counts(index: MbslIndex, counts: ProfileCounts, config: MbslConfig,
+                      served: frozenset[int] | None = None) -> MbslModel:
+    """Train on the profile counts of index's sentences that counts sums,
+    over the tile map of the served seqs (of every seq, if served is None).
 
     Tile counts are linear in the profile counts: a tile's pos is the sum
     over the keys positive for it, and pos + neg the sum over the keys of
-    its seq. The table holds the tiles some counted key yields. The index
-    must reach config.max_tile_len, or the tiles would be too short.
+    its seq. The table holds the tiles some counted key yields. A served
+    seq's entries in the model's index are the ones a full map gives; an
+    unserved seq has none. The index must reach config.max_tile_len, or the
+    tiles would be too short.
     """
     if config.max_tile_len > index.max_tile_len:
         raise ValueError(f"max_tile_len {config.max_tile_len} exceeds the index's "
                          f"{index.max_tile_len}")
-    names, positive, yields = index.tile_map(config.context_size, config.max_tile_len)
+    names, keys, positive, yields = index.tile_map(config.context_size,
+                                                   config.max_tile_len, served)
     pos = [0] * len(names)
     total = [0] * len(index.seq_len)
     live = bytearray(len(names))
-    key_seq = index.key_seq
-    for k, count in enumerate(counts.by_key):
+    key_seq, by_key = index.key_seq, counts.by_key
+    for k, key_positive, key_yields in zip(keys, positive, yields):
+        count = by_key[k]
         if count:
             total[key_seq[k]] += count
-            for t in positive[k]:
+            for t in key_positive:
                 pos[t] += count
-            for t in yields[k]:
+            for t in key_yields:
                 live[t] = 1
     table: dict[tuple, tuple[int, int]] = {}
     entries: list = [None] * len(index.seq_len)  # the model's index
+    min_positive, threshold = config.min_positive_count, config.tile_threshold
     for name, tile_pos, is_live in zip(names, pos, live):
         if not is_live:
             continue
         s, opens, closes = name
         tile_neg = total[s] - tile_pos
         table[name] = (tile_pos, tile_neg)
-        if tile_pos < config.min_positive_count:
+        if tile_pos < min_positive:
             continue
         score = tile_pos / (tile_pos + tile_neg)
-        if score >= config.tile_threshold:
+        if score >= threshold:
             entry = (score, opens[0] if opens else None, closes[0] + 1 if closes else None)
             if entries[s] is None:
                 entries[s] = [entry]

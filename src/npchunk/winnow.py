@@ -45,8 +45,10 @@ from typing import Iterable, NamedTuple, Sequence
 from .corpus import ChunkSpan, Corpus, Sentence, _check_ids, _Checked
 from .resample import PrngStream
 
-BOS = "<s>"
-EOS = "</s>"
+# The padding symbols hold a space, so that no POS tag (non-empty and
+# whitespace-free) equals one: a real "<s>" tag pads no window.
+BOS = " <s>"
+EOS = " </s>"
 
 Feature = tuple[int, tuple[str, ...]]  # (start offset relative to focus, n-gram)
 

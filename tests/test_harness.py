@@ -450,13 +450,14 @@ class TestRunExperiment:
 
     def test_tasks_leave_tile_maps_as_built(self, corpora, tmp_path):
         # the experiment is complete when built: every task, e_full's
-        # included, trains from the tile maps __init__ made
+        # included, trains from the tile maps __init__ made over the served seqs
         config = make_config(corpora, tmp_path / "out", systems=tuple(
             parse_system(spec) for spec in ("mbsl:c=1", "mbsl:c=3,max_tile_len=4", "winnow")))
         experiment = harness._Experiment(config)
         tile_maps = experiment.mbsl_index._tile_maps
         built = dict(tile_maps)
-        assert set(built) == {(1, 6), (3, 4)}
+        served = experiment.mbsl_served
+        assert set(built) == {(1, 6, served), (3, 4, served)}
         assert len(experiment.run_all()) == 1 + len(experiment.tasks)
         assert tile_maps.keys() == built.keys()
         assert all(tile_maps[key] is tile_map for key, tile_map in built.items())

@@ -1,5 +1,8 @@
 import gc
+import os
 import pickle
+import tempfile
+from unittest import mock
 
 import pytest
 from collections import Counter
@@ -8,12 +11,15 @@ from itertools import chain
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from npchunk import harness, mbsl
 from npchunk.corpus import (
+    WSJ_LIKE,
     ChunkSpan,
     Corpus,
     GenreGrammar,
     Sentence,
     generate_corpus,
+    write_corpus,
 )
 from npchunk.mbsl import (
     MbslConfig,
@@ -180,10 +186,8 @@ class TestPrediction:
 
 # Random small corpora over a two-tag alphabet: a sentence is a run of
 # segments, each either a gold NP or outside material.
-_segments = st.lists(
-    st.tuples(st.booleans(), st.lists(st.sampled_from("AB"), min_size=1, max_size=4)),
-    max_size=5,
-)
+_segment = st.tuples(st.booleans(), st.lists(st.sampled_from("AB"), min_size=1, max_size=4))
+_segments = st.lists(_segment, max_size=5)
 
 
 def _sentence(segments):
@@ -289,6 +293,22 @@ class TestTileRule:
             for seq, opens, closes in keys
         ]
         assert [[names[t] for t in ids] for ids in tile_map.yields] == yielded
+        assert tile_map.keys == range(len(keys))
+
+    @pytest.mark.parametrize("c, tiles, seqs_with_entries", [(0, 9, 9), (1, 202, 171),
+                                                              (3, 1668, 1089)])
+    def test_full_map_keeps_every_tile(self, c, tiles, seqs_with_entries):
+        # mbsl_train, and a tile map asked for with no served set, cover every
+        # key and every tile; perfbench/child.py reads len(model.table) as its
+        # mbsl.tiles counter. The counts are the ones training gave before
+        # tile maps could cover served seqs alone.
+        corpus = generate_corpus(WSJ_LIKE, 30, derive_stream(1, "gen", 0))
+        model = mbsl_train(corpus, MbslConfig(c))
+        assert len(model.table) == tiles
+        assert sum(entries is not None for entries in model.index) == seqs_with_entries
+        tile_map = MbslIndex(corpus, 6).tile_map(c, 6)
+        assert len(tile_map.names) == tiles
+        assert len(tile_map.keys) == len(tile_map.positive) == len(tile_map.yields) == 1272
 
 
 def _keys(index):
@@ -575,3 +595,61 @@ class TestPairRule:
                 expected = _oracle_predict(model, sentence)
                 assert mbsl_predict_interned(model, starts) == expected
                 assert mbsl_predict(model, sentence) == expected
+
+
+class TestServedSeqs:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        train=st.lists(st.lists(_segment, min_size=1, max_size=5), min_size=1, max_size=6),
+        # "C" never occurs in training
+        tests=st.lists(st.lists(st.lists(st.tuples(
+            st.booleans(), st.lists(st.sampled_from("ABC"), min_size=1, max_size=4)),
+            min_size=1, max_size=4), min_size=1, max_size=3), min_size=1, max_size=2),
+        systems=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 6)),
+                         min_size=1, max_size=2, unique=True),
+        b=st.integers(1, 3),
+    )
+    def test_experiment_models_equal_full_maps_on_served_seqs(self, train, tests, systems, b):
+        # every task of a bootstrap experiment, e_full's included, trains
+        # over the tile maps of the seqs its test corpora serve; each such
+        # model is checked against the full-map model of the same counts
+        has_np = [(True, ["A", "B"])]  # every corpus needs a base NP
+        with tempfile.TemporaryDirectory() as root:
+            paths = []
+            for i, sentences in enumerate([train, *tests]):
+                paths.append(os.path.join(root, f"{i}.iob2"))
+                write_corpus(Corpus(tuple(_sentence(segments)
+                                          for segments in [has_np, *sentences])), paths[-1])
+            config = harness.ExperimentConfig(
+                master_seed=len(train), training_corpus=paths[0],
+                test_corpora=tuple((f"t{i}", path) for i, path in enumerate(paths[1:])),
+                method="bootstrap", b=b, systems=tuple(
+                    harness.parse_system(f"mbsl:c={c},max_tile_len={length}")
+                    for c, length in systems))
+            experiment = harness._Experiment(config)
+            trained = []
+
+            def recording(index, counts, cfg, served=None):
+                model = mbsl_train_counts(index, counts, cfg, served)
+                trained.append((counts, cfg, served, model))
+                return model
+
+            with mock.patch.object(mbsl, "mbsl_train_counts", recording):
+                experiment.run_all()
+        index, served = experiment.mbsl_index, experiment.mbsl_served
+        interned = [longest for corpus in experiment.interned["mbsl"] for longest in corpus]
+        # every interned seq id is served, and so is each served seq's parent
+        assert {s for longest in interned for s in longest if s >= 0} <= served
+        assert all(index.seq_parent[s] in served for s in served if index.seq_parent[s] >= 0)
+        assert len(trained) == len(systems) * (1 + b)
+        for counts, cfg, used, model in trained:
+            assert used is served
+            full = mbsl_train_counts(index, counts, cfg)
+            assert model.max_np_len == full.max_np_len
+            assert list(model.table.items()) == [
+                (name, tile) for name, tile in full.table.items() if name[0] in served]
+            assert model.index == [entries if s in served else None
+                                   for s, entries in enumerate(full.index)]
+            for longest in interned:
+                assert mbsl_predict_interned(model, longest) == \
+                    mbsl_predict_interned(full, longest)

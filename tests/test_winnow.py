@@ -55,6 +55,16 @@ class TestFeatures:
         assert (1, (EOS,)) in feats
         assert len(feats) == 6
 
+    def test_padding_equals_no_tag(self):
+        # real tags spelled like the old padding symbols: the window of NN
+        # after a "<s>" tag, or before a "</s>" tag, is no sentence edge's
+        sentences = [sent(("NN",)), sent(("<s>", "NN")), sent(("NN", "</s>")),
+                     sent(("<s>", "NN", "</s>"))]
+        windows = intern_windows(sentences).sentences
+        nn = [row[tags.index("NN")] for row, tags in
+              zip(windows, (s.pos_tags for s in sentences))]
+        assert len(set(nn)) == 4
+
     def test_always_six_features(self):
         corpus = generate_corpus(
             GenreGrammar("g", ((("NN",), 1.0),), ((("VB",), 1.0),), 2.0, 0, 4),
