@@ -6,12 +6,13 @@ each trained model on every test corpus, and aggregates recall
 distributions. Output is a set of TSV files; given a fixed config (seed
 included) they are byte-identical across runs and across worker counts.
 
-The training corpus is indexed, every test corpus interned and the MBSL
-tile maps made once per experiment, before any worker is forked; the tile
-maps cover only the seqs the interned test corpora serve, since prediction
-reads no other. e_full's training is one more task, and a pooled run's
-parent computes a share of the tasks. A run makes no reference cycles, so
-run_experiment keeps the cyclic garbage collector off while it runs.
+The experiment is the set-up every task shares, made once before any
+worker is forked: the training corpus indexed, every test corpus interned
+and the MBSL tile maps of the seqs those serve, since prediction reads no
+other. It holds no plan: a run draws them all, a replay only its own.
+e_full's training is one more task, and a pooled run's parent computes a
+share of the tasks. A run makes no reference cycles, so run_experiment
+keeps the cyclic garbage collector off while it runs.
 """
 
 from __future__ import annotations
@@ -283,22 +284,34 @@ def load_config(path: str | Path, overrides: Sequence[str] = ()) -> ExperimentCo
         raise ConfigError(f"missing config key: {exc}") from exc
 
 
-def build_plans(config: ExperimentConfig, train: Corpus
+def build_plans(config: ExperimentConfig, train: Corpus, resample_ids: Iterable[int] | None = None
                 ) -> list[tuple[int, BootstrapPlan | CvPlan, int | None]]:
-    """(resample_id, plan, held_out_fold) tasks, in resample_id order."""
-    tasks: list[tuple[int, BootstrapPlan | CvPlan, int | None]] = []
-    if config.method == "bootstrap":
-        n0 = train.instance_count()
-        for b in range(config.b):
-            rng = derive_stream(config.master_seed, "bootstrap", b)
-            tasks.append((b, plan_bootstrap(train, n0, rng, resample_id=b), None))
-    else:
-        for rep in range(config.repetitions):
-            rng = derive_stream(config.master_seed, "cv", rep)
-            plan = plan_cv(train, config.k, rng)
-            for fold in range(config.k):
-                tasks.append((rep * config.k + fold, plan, fold))
+    """(resample_id, plan, held_out_fold) tasks for resample_ids, in their order;
+    by default every task, in resample_id order. A call draws plan b (bootstrap)
+    or repetition rep's partition (cv) once, from stream (method, b or rep), so
+    the folds of one repetition share one CvPlan. An id outside raises ConfigError."""
+    bootstrap = config.method == "bootstrap"
+    per_plan, count = (1, config.b) if bootstrap else (config.k, config.k * config.repetitions)
+    n0 = train.instance_count() if bootstrap else 0
+    plans, tasks = {}, []
+    for rid in range(count) if resample_ids is None else resample_ids:
+        if not 0 <= rid < count:
+            raise ConfigError(f"resample_id {rid} outside this experiment")
+        index, fold = divmod(rid, per_plan)
+        if index not in plans:
+            rng = derive_stream(config.master_seed, config.method, index)
+            plans[index] = (plan_bootstrap(train, n0, rng, resample_id=index) if bootstrap
+                            else plan_cv(train, config.k, rng))
+        tasks.append((rid, plans[index], None if bootstrap else fold))
     return tasks
+
+
+def _plan_row(rid: int, plan: BootstrapPlan | CvPlan, held: int | None) -> tuple:
+    """A task's plans.tsv row: resample_id, held_out, digest and plan. The
+    digest is the CRC-32 of the plan's line, "/<fold>" added for a cv fold."""
+    line = plan.to_line()
+    digest = zlib.crc32((line if held is None else f"{line}/{held}").encode())
+    return rid, held, f"{digest:08x}", line.replace("\t", " ")
 
 
 class ExperimentReport(NamedTuple):
@@ -319,13 +332,13 @@ def _fmt(value) -> str:
 
 
 class _Experiment:
-    """One config's corpora, resolved systems, training indexes, interned
-    test corpora, the MBSL seqs they serve and those seqs' tile maps,
-    resampling tasks and plan digests.
+    """The set-up every task shares, and no plan: one config's corpora,
+    resolved systems, training indexes, interned test corpora, the MBSL seqs
+    they serve and those seqs' tile maps.
 
-    `run` and `replay` each build one, and no task adds to it. Every
-    resample, and the full-corpus training behind e_full, goes through
-    run_resample.
+    `run` and `replay` each build one, and no task adds to it; each draws
+    its plans through build_plans, `replay` only its own. Every resample,
+    and the full-corpus training behind e_full, goes through run_resample.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -341,7 +354,6 @@ class _Experiment:
         self.tests = tuple(
             (label, load(f"test.{label}", path)) for label, path in config.test_corpora
         )
-        self.tasks = build_plans(config, self.train)
         self.systems = tuple((spec, spec.build()) for spec in config.systems)
         # interned once, before any worker starts, for every training: one
         # MBSL index at the longest tile length
@@ -370,11 +382,6 @@ class _Experiment:
             self.interned["winnow"] = tuple(
                 winnow.intern_windows(corpus.sentences) for _, corpus in self.tests
             )
-        self.plan_digests = tuple(
-            f"{zlib.crc32(line.encode()):08x}"
-            for line in (plan.to_line() + (f"/{held}" if held is not None else "")
-                         for _, plan, held in self.tasks)
-        )
 
     def run_resample(self, task) -> dict[tuple[str, str], RunMetrics]:
         """Train every system on a task's training ids; score it on every test corpus.
@@ -407,13 +414,13 @@ class _Experiment:
                 results[(spec.label, label)] = evalstats.score_run(corpus, predictions)
         return results
 
-    def run_all(self) -> list[dict[tuple[str, str], RunMetrics]]:
-        """run_resample for the full-corpus task (0, None, None), then for every
-        task, results in that order. With w = min(workers, tasks) above 1, the
+    def run_all(self, tasks) -> list[dict[tuple[str, str], RunMetrics]]:
+        """run_resample for the full-corpus task (0, None, None), then for each
+        of tasks, results in that order. With w = min(workers, tasks) above 1, the
         parent forks w - 1 children: child i runs tasks[i::w] and pipes back
         its results, and the parent runs tasks[0::w], the full task among them.
         A child's exception is raised here; on any error each child left is killed."""
-        tasks = [(0, None, None), *self.tasks]
+        tasks = [(0, None, None), *tasks]
         if self.config.workers == 1:
             return [self.run_resample(task) for task in tasks]
         import pickle, signal  # here, so that only a pooled run imports them
@@ -488,7 +495,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 def _run_experiment(config: ExperimentConfig) -> ExperimentReport:
     experiment = _Experiment(config)
-    full, *resamples = experiment.run_all()
+    tasks = build_plans(config, experiment.train)
+    full, *resamples = experiment.run_all(tasks)
     e_full = {key: metrics.recall for key, metrics in full.items()}
     run_metrics: dict[tuple[str, str], list[RunMetrics]] = defaultdict(list)
     for results in resamples:
@@ -509,7 +517,7 @@ def _run_experiment(config: ExperimentConfig) -> ExperimentReport:
     # correlations per system; both need at least two resamples
     pairs: dict[tuple[str, str, str], PairedComparison] = {}
     xcorr: dict[tuple[str, str, str], float | None] = {}
-    if len(experiment.tasks) >= 2:
+    if len(tasks) >= 2:
         for spec_a, spec_b in itertools.combinations(config.systems, 2):
             for test_label in test_labels:
                 pairs[(spec_a.label, spec_b.label, test_label)] = evalstats.compare_paired(
@@ -520,12 +528,11 @@ def _run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     samples[(spec.label, label_a)], samples[(spec.label, label_b)]).rho
 
     report = ExperimentReport(config.config_hash(), samples, summaries, e_full, pairs, xcorr)
-    _write_report(experiment, report, run_metrics)
+    _write_report(config, tasks, report, run_metrics)
     return report
 
 
-def _write_report(experiment: _Experiment, report: ExperimentReport, run_metrics) -> None:
-    config = experiment.config
+def _write_report(config: ExperimentConfig, tasks, report: ExperimentReport, run_metrics) -> None:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "samples").mkdir(exist_ok=True)
@@ -564,14 +571,8 @@ def _write_report(experiment: _Experiment, report: ExperimentReport, run_metrics
             for (system, ta, tb), rho in sorted(report.xcorr.items())
         ),
     )
-    write(
-        out_dir / "plans.tsv",
-        "resample_id\theld_out\tdigest\tplan",
-        (
-            (rid, held, digest, plan.to_line().replace("\t", " "))
-            for (rid, plan, held), digest in zip(experiment.tasks, experiment.plan_digests)
-        ),
-    )
+    write(out_dir / "plans.tsv", "resample_id\theld_out\tdigest\tplan",
+          itertools.starmap(_plan_row, tasks))
     write(
         out_dir / "runs.tsv",
         "system\ttest\tresample_id\trecall\tprecision\tn_gold\tn_predicted\tn_correct",
@@ -595,16 +596,15 @@ def _write_report(experiment: _Experiment, report: ExperimentReport, run_metrics
 
 
 def replay_resample(config: ExperimentConfig, resample_id: int) -> list[tuple[str, str, RunMetrics]]:
-    """Re-run one resample from its deterministic plan; returns run metrics.
+    """Re-run one resample, drawing only its own plan; returns run metrics.
 
     When the experiment's plans.tsv exists, its config-hash stamp and the
     recorded plan digest are checked against this config's; a plans.tsv
     without a row for resample_id raises ConfigError.
     """
     experiment = _Experiment(config)
-    if not 0 <= resample_id < len(experiment.tasks):
-        raise ConfigError(f"resample_id {resample_id} outside this experiment")
-    digest = experiment.plan_digests[resample_id]
+    [task] = build_plans(config, experiment.train, [resample_id])
+    digest = _plan_row(*task)[2]
     plans_path = Path(config.output_dir) / "plans.tsv"
     if plans_path.exists():
         lines = plans_path.read_text(encoding="utf-8").splitlines()
@@ -629,7 +629,7 @@ def replay_resample(config: ExperimentConfig, resample_id: int) -> list[tuple[st
                     )
         if not found:
             raise ConfigError(f"{plans_path}: no row for resample {resample_id}")
-    results = experiment.run_resample(experiment.tasks[resample_id])
+    results = experiment.run_resample(task)
     return [
         (system, test, metrics)
         for (system, test), metrics in sorted(results.items())

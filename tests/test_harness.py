@@ -331,6 +331,38 @@ class TestBuildPlans:
         assert tasks[0][1] is tasks[1][1]
         assert tasks[0][1] is not tasks[3][1]
 
+    @pytest.mark.parametrize("method", ["bootstrap", "cv"])
+    def test_selected_ids_give_the_full_lists_tasks(self, corpora, method):
+        # any subset of the ids, in any order and with repeats, gives those
+        # tasks of the full list, with equal plans drawn from the same streams
+        config = make_config(corpora, "out", method=method, b=5, k=3, repetitions=2)
+        train = read_corpus(corpora["train"])
+        full = build_plans(config, train)
+        rng = PrngStream(7)
+        for size in (0, 1, 2, 3, len(full), 2 * len(full)):
+            ids = [rng.next_below(len(full)) for _ in range(size)]
+            assert build_plans(config, train, ids) == [full[rid] for rid in ids]
+        ids = list(range(len(full)))[::-1]
+        assert build_plans(config, train, ids) == full[::-1]
+
+    def test_selected_folds_share_their_repetitions_partition(self, corpora):
+        config = make_config(corpora, "out", method="cv", b=0, k=3, repetitions=2)
+        tasks = build_plans(config, read_corpus(corpora["train"]), [4, 0, 3, 5, 2])
+        assert [(rid, held) for rid, _, held in tasks] == [(4, 1), (0, 0), (3, 0), (5, 2), (2, 2)]
+        assert tasks[0][1] is tasks[2][1] is tasks[3][1]
+        assert tasks[1][1] is tasks[4][1]
+        assert tasks[0][1] != tasks[1][1]
+
+    @pytest.mark.parametrize("method, count", [("bootstrap", 4), ("cv", 6)],
+                             ids=["bootstrap", "cv"])
+    def test_id_outside_the_experiment(self, corpora, method, count):
+        config = make_config(corpora, "out", method=method, b=4, k=3, repetitions=2)
+        train = read_corpus(corpora["train"])
+        assert [rid for rid, _, _ in build_plans(config, train, [count - 1, 0])] == [count - 1, 0]
+        for rid in (count, -1):
+            with pytest.raises(ConfigError, match=f"resample_id {rid} outside this experiment"):
+                build_plans(config, train, [0, rid])
+
 
 class TestRunExperiment:
     def test_bootstrap_outputs(self, corpora, tmp_path):
@@ -458,7 +490,8 @@ class TestRunExperiment:
         built = dict(tile_maps)
         served = experiment.mbsl_served
         assert set(built) == {(1, 6, served), (3, 4, served)}
-        assert len(experiment.run_all()) == 1 + len(experiment.tasks)
+        tasks = build_plans(config, experiment.train)
+        assert len(experiment.run_all(tasks)) == 1 + len(tasks)
         assert tile_maps.keys() == built.keys()
         assert all(tile_maps[key] is tile_map for key, tile_map in built.items())
 
@@ -568,8 +601,9 @@ class TestPool:
             return {"task": task, "padding": "x" * 100_000}
 
         monkeypatch.setattr(harness._Experiment, "run_resample", run_resample)
-        experiment = harness._Experiment(make_config(corpora, tmp_path / "out", b=4, workers=3))
-        tasks = [(0, None, None), *experiment.tasks]
+        config = make_config(corpora, tmp_path / "out", b=4, workers=3)
+        experiment = harness._Experiment(config)
+        tasks = build_plans(config, experiment.train)
 
         def expire(signum, frame):
             raise TimeoutError("the parent waited for a child blocked on a full pipe")
@@ -577,11 +611,11 @@ class TestPool:
         previous = signal.signal(signal.SIGALRM, expire)
         signal.alarm(60)
         try:
-            results = experiment.run_all()
+            results = experiment.run_all(tasks)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        assert results == [run_resample(experiment, task) for task in tasks]
+        assert results == [run_resample(experiment, task) for task in [(0, None, None), *tasks]]
         assert_no_child_left()
 
     def test_workers_need_fork(self, corpora, tmp_path, monkeypatch):
@@ -630,23 +664,48 @@ class TestGcPause:
 
 
 class TestReplay:
-    def test_replay_matches_run(self, corpora, tmp_path):
-        config = make_config(corpora, tmp_path / "out", b=3)
+    # the cv case replays fold 1 of repetition 1, so its plans.tsv digest
+    # covers "/1" and the replay must draw the second partition
+    @pytest.mark.parametrize("method, resample_id", [("bootstrap", 1), ("cv", 4)],
+                             ids=["bootstrap", "cv"])
+    def test_replay_matches_run(self, corpora, tmp_path, method, resample_id):
+        config = make_config(corpora, tmp_path / "out", method=method, b=3, k=3, repetitions=2)
         run_experiment(config)
-        rows = replay_resample(config, 1)
+        rows = replay_resample(config, resample_id)
         runs = {}
         for line in (tmp_path / "out" / "runs.tsv").read_text().splitlines()[2:]:
             system, test, rid, recall = line.split("\t")[:4]
-            if rid == "1":
+            if rid == str(resample_id):
                 runs[(system, test)] = recall
         assert len(rows) == 4
         for system, test, metrics in rows:
             assert f"{metrics.recall:.6f}" == runs[(system, test)]
 
-    def test_replay_unknown_id(self, corpora, tmp_path):
-        config = make_config(corpora, tmp_path / "out", b=2)
-        with pytest.raises(ConfigError, match="outside"):
-            replay_resample(config, 9)
+    @pytest.mark.parametrize("method, count", [("bootstrap", 2), ("cv", 6)],
+                             ids=["bootstrap", "cv"])
+    def test_replay_unknown_id(self, corpora, tmp_path, method, count):
+        # B ids for bootstrap, k * repetitions for cv
+        config = make_config(corpora, tmp_path / "out", method=method, b=2, k=3, repetitions=2)
+        for rid in (count, 9, -1):
+            with pytest.raises(ConfigError, match=f"resample_id {rid} outside"):
+                replay_resample(config, rid)
+
+    @pytest.mark.parametrize("method, resample_id", [("bootstrap", 2), ("cv", 4)],
+                             ids=["bootstrap", "cv"])
+    def test_replay_draws_one_plan(self, corpora, tmp_path, monkeypatch, method,
+                                   resample_id):
+        # a run of B=3 draws three bootstrap plans, of k=3 x 2 two partitions;
+        # a replay draws only its own
+        config = make_config(corpora, tmp_path / "out", method=method, b=3, k=3, repetitions=2)
+        run_experiment(config)
+        calls = []
+        for name in ("plan_bootstrap", "plan_cv"):
+            def counting(*args, _draw=getattr(harness, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _draw(*args, **kwargs)
+            monkeypatch.setattr(harness, name, counting)
+        replay_resample(config, resample_id)
+        assert calls == [{"bootstrap": "plan_bootstrap", "cv": "plan_cv"}[method]]
 
     def test_digest_mismatch_detected(self, corpora, tmp_path):
         config = make_config(corpora, tmp_path / "out", b=2)

@@ -635,7 +635,7 @@ class TestServedSeqs:
                 return model
 
             with mock.patch.object(mbsl, "mbsl_train_counts", recording):
-                experiment.run_all()
+                experiment.run_all(harness.build_plans(config, experiment.train))
         index, served = experiment.mbsl_index, experiment.mbsl_served
         interned = [longest for corpus in experiment.interned["mbsl"] for longest in corpus]
         # every interned seq id is served, and so is each served seq's parent
