@@ -81,8 +81,8 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter, defaultdict
-from functools import lru_cache
-from itertools import chain, count
+from functools import lru_cache, partial
+from itertools import chain
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence
 
@@ -110,27 +110,25 @@ class MbslConfig(_Checked, _MbslConfig):
             raise ValueError("min_positive_count must be >= 1")
 
 
-# perfbench/child.py sums the hits and misses of _sentence_tiles and _sentence_profiles,
-# and divides by them. _sentence_tiles is a stand-in that counts no calls. The
-# lru_cache on _sentence_profiles stores nothing (maxsize=0): MbslIndex calls it once
-# per indexed sentence, and each call counts one miss. The decorator is only that
-# call counter; it goes when child.py stops reading it.
+# perfbench/child.py divides by the summed hits and misses of _sentence_tiles, a
+# stand-in that counts no calls, and _sentence_profiles, whose lru_cache stores nothing
+# and hashes no argument (maxsize=0): each call, one per sentence MbslIndex reads, counts
+# one miss. The decorator is only that call counter; it goes when child.py stops reading it.
 _sentence_tiles = SimpleNamespace(cache_info=lambda: SimpleNamespace(hits=0, misses=0))
 
 
 @lru_cache(maxsize=0)
-def _sentence_profiles(tags: tuple[str, ...],
-                       spans: tuple[ChunkSpan, ...]) -> list[tuple[str, bool, bool]]:
-    """(tag, a chunk opens before it, a chunk closes after it) per token.
-
-    These are the steps MbslIndex walks its key trie by: a window's profile
-    key is its first tag's step, then each next tag's.
+def _sentence_profiles(tags: tuple[str, ...], spans: tuple[ChunkSpan, ...],
+                       tag_ids: dict[str, int]) -> list[int]:
+    """The steps MbslIndex walks its key trie by, one per token: 4 * its tag's
+    id + 2 * (a chunk opens before it) + (a chunk closes after it). A tag new
+    to tag_ids gets the next id, so ids come in order of first occurrence.
     """
-    opening = [False] * len(tags)
-    closing = [False] * len(tags)
+    walk = [4 * tag_ids.setdefault(tag, len(tag_ids)) for tag in tags]
     for start, end in spans:
-        opening[start] = closing[end - 1] = True
-    return list(zip(tags, opening, closing))
+        walk[start] |= 2
+        walk[end - 1] |= 1
+    return walk
 
 
 class MbslModel(NamedTuple):
@@ -191,49 +189,25 @@ class _TileMap(NamedTuple):
     yields: list[tuple[int, ...]]  # covered key -> ids of the tiles _window_tiles gives
 
 
-def _add_key(edges: dict[int, int], parent: list[int], key_step: list[int],
-             link: list[int], width: int, u: int, step: int) -> int:
-    """Add the key u extended by step, which edges lacks, and return its id.
-
-    Its suffix link is the link of u extended by step. When that key is
-    missing too, it is added first, and so on down the links of u; so a
-    key's link and parent always have smaller ids than the key.
-    """
-    missing = [u]
-    while u >= 0:
-        u = link[u]
-        k = edges.get((u + 1) * width + step)
-        if k is not None:
-            break
-        missing.append(u)
-    else:
-        k = -1  # a one-step key links to the root
-    for u in reversed(missing):
-        new = edges[(u + 1) * width + step] = len(parent)
-        parent.append(u)
-        key_step.append(step)
-        link.append(k)
-        k = new
-    return k
-
-
 class MbslIndex:
     """The window profiles of a training corpus, interned once.
 
     The profile keys form a trie: a window's key is the key of the window
-    one tag shorter at the same start (its parent), extended by one step
-    (tag, a chunk opens before it, a chunk closes after it). The build walks
-    only each start's longest window, of up to max_tile_len steps, through
-    suffix links: the link of a key is the key of its steps without the
-    first one. The longest window at p + 1 is the link of the one at p,
-    extended by the step at p + max_tile_len while that is in the sentence,
-    so each start costs about one edge lookup. A new key gets its link
-    first, so a key's id is larger than its parent's and its link's; ids
-    come in that creation order, which no output reads. seq ids and layout
-    ids come in key order, from (parent seq id, tag) and (parent layout id,
-    opens here, closes here) edges. The key edges and links live only while
-    the index is built; the seq edges stay, as seq_ids, so that intern can
-    map test windows to seq ids.
+    one tag shorter at the same start (its parent), extended by one step,
+    4 * tag id + 2 * (a chunk opens before it) + (a chunk closes after it);
+    _sentence_profiles reads each sentence once, into one step per token.
+    The build walks only each start's longest window, of up to max_tile_len
+    steps, through suffix links: the link of a key is the key of its steps
+    without the first one. The longest window at p + 1 is the link of the
+    one at p, extended by the step at p + max_tile_len while that is in the
+    sentence, so each start costs about one edge lookup. A new key gets its
+    link first, so a key's id is larger than its parent's and its link's;
+    ids come in that creation order, which no output reads. A key is named
+    as it is made, by the (parent seq id, tag) edge, the tag's id being
+    step >> 2, and the (parent layout id, opens here, closes here) edge,
+    step & 3; so seq ids and layout ids come in key order. The key edges
+    and links live only while the index is built; the seq edges stay, as
+    seq_ids, so that intern can map test windows to seq ids.
 
     A key k is named by its seq and its border layout: key_seq[k] is the id
     of its seq, seq_len[i] the number of tags of seq i and seq_parent[i]
@@ -257,67 +231,82 @@ class MbslIndex:
         self.max_tile_len = max_tile_len
         self.max_np = [max((end - start for start, end in sentence.gold_spans), default=0)
                        for sentence in corpus.sentences]
-        # step -> id, in order of first occurrence
-        step_ids: defaultdict[tuple[str, bool, bool], int] = defaultdict(count().__next__)
-        walks = [
-            list(map(step_ids.__getitem__,
-                     _sentence_profiles(sentence.pos_tags, sentence.gold_spans)))
-            for sentence in corpus.sentences
-        ]
-        steps = list(step_ids)
-        width = len(steps)
-        edges: dict[int, int] = {}  # (parent key id + 1) * width + step id -> key id
-        parent: list[int] = []  # key id -> parent key id, -1 at the root
-        key_step: list[int] = []  # key id -> step id
+        tag_ids: dict[str, int] = {}  # tag -> id, in order of first occurrence
+        walks = [_sentence_profiles(sentence.pos_tags, sentence.gold_spans, tag_ids)
+                 for sentence in corpus.sentences]
+        tags = list(tag_ids)
+        width = 4 * len(tags)  # every step is below it
+        edges: dict[int, int] = {}  # (parent key id + 1) * width + step -> key id
         link: list[int] = []  # key id -> its suffix link's key id, -1 at the root
-        self.ends: list[array] = []
-        for walk in walks:
-            ends: list[int] = []  # the key of the longest window at each start
-            u = -1  # the root; then the longest window at the first start
-            for step in walk[:max_tile_len]:
-                k = edges.get((u + 1) * width + step)
-                u = _add_key(edges, parent, key_step, link, width, u, step) if k is None else k
-            # the longest window at the next start is u without its first step
-            # (its link), extended by the step after u while that is in the walk
-            for step in walk[max_tile_len:]:
-                ends.append(u)
-                u = link[u]
-                k = edges.get((u + 1) * width + step)
-                u = _add_key(edges, parent, key_step, link, width, u, step) if k is None else k
-            for _ in walk[-max_tile_len:]:
-                ends.append(u)
-                u = link[u]
-            self.ends.append(array("i", ends))
-        del edges, link
-        self.parent = parent
-        self.full = [0] * len(parent)
-        for k, starts in Counter(chain.from_iterable(self.ends)).items():
-            self.full[k] = starts
-        # seq ids by a second trie over (parent seq id, tag), and layout ids
-        # by a third over (parent layout id, opens here, closes here), both
-        # in key order
+        layout_ids: dict[tuple[int, int], int] = {}  # (parent layout id, step & 3) -> id
+        self.parent: list[int] = []  # key id -> parent key id, -1 at the root
         self.seq_ids: dict[tuple[int, str], int] = {}
         self.seq_len: list[int] = []
         self.seq_parent: list[int] = []
         self.key_seq: list[int] = []
         self.layouts: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
         self.key_layout: list[int] = []
-        layout_ids: dict[tuple[int, bool, bool], int] = {}
-        for up, step in zip(parent, key_step):
-            tag, opens_here, closes_here = steps[step]
-            up_seq, up_layout = (self.key_seq[up], self.key_layout[up]) if up >= 0 else (-1, -1)
-            s = self.seq_ids.setdefault((up_seq, tag), len(self.seq_len))
-            if s == len(self.seq_len):
-                self.seq_len.append(self.seq_len[up_seq] + 1 if up_seq >= 0 else 1)
-                self.seq_parent.append(up_seq)
-            self.key_seq.append(s)
-            layout = layout_ids.setdefault((up_layout, opens_here, closes_here), len(self.layouts))
+        self.ends: list[array] = []
+        add_key = partial(self._add_key, edges, link, width, tags, layout_ids)
+        for walk in walks:
+            ends: list[int] = []  # the key of the longest window at each start
+            u = -1  # the root; then the longest window at the first start
+            for step in walk[:max_tile_len]:
+                k = edges.get((u + 1) * width + step)
+                u = add_key(u, step) if k is None else k
+            # the longest window at the next start is u without its first step
+            # (its link), extended by the step after u while that is in the walk
+            for step in walk[max_tile_len:]:
+                ends.append(u)
+                u = link[u]
+                k = edges.get((u + 1) * width + step)
+                u = add_key(u, step) if k is None else k
+            for _ in walk[-max_tile_len:]:
+                ends.append(u)
+                u = link[u]
+            self.ends.append(array("i", ends))
+        del add_key, edges, link
+        self.full = [0] * len(self.parent)
+        for k, starts in Counter(chain.from_iterable(self.ends)).items():
+            self.full[k] = starts
+        self._tile_maps: dict[tuple[int, int, frozenset[int] | None], _TileMap] = {}
+
+    def _add_key(self, edges: dict[int, int], link: list[int], width: int, tags: list[str],
+                 layout_ids: dict[tuple[int, int], int], u: int, step: int) -> int:
+        """Add and name the key u extended by step, which edges lacks; return its id.
+
+        Its suffix link is the link of u extended by step. When that key is
+        missing too, it is added first, and so on down the links of u; so a
+        key's link and parent always have smaller ids than the key.
+        """
+        missing = [u]
+        while u >= 0:
+            u = link[u]
+            k = edges.get((u + 1) * width + step)
+            if k is not None:
+                break
+            missing.append(u)
+        else:
+            k = -1  # a one-step key links to the root
+        tag, marks = tags[step >> 2], step & 3
+        for u in reversed(missing):
+            new = edges[(u + 1) * width + step] = len(self.parent)
+            self.parent.append(u)
+            link.append(k)
+            k = new
+            up_seq, up_layout = (self.key_seq[u], self.key_layout[u]) if u >= 0 else (-1, -1)
+            layout = layout_ids.setdefault((up_layout, marks), len(self.layouts))
             if layout == len(self.layouts):
                 at, opens, closes = self.layouts[up_layout] if up_layout >= 0 else (0, (), ())
-                self.layouts.append((at + 1, opens + (at,) if opens_here else opens,
-                                     closes + (at,) if closes_here else closes))
+                self.layouts.append((at + 1, opens + (at,) if marks & 2 else opens,
+                                     closes + (at,) if marks & 1 else closes))
             self.key_layout.append(layout)
-        self._tile_maps: dict[tuple[int, int, frozenset[int] | None], _TileMap] = {}
+            s = self.seq_ids.setdefault((up_seq, tag), len(self.seq_len))
+            if s == len(self.seq_len):
+                self.seq_len.append(self.layouts[layout][0])
+                self.seq_parent.append(up_seq)
+            self.key_seq.append(s)
+        return k
 
     def counts(self, ids: Iterable[int]) -> ProfileCounts:
         """The profile counts of the sentences ids, each as often as it occurs.

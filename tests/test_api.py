@@ -76,6 +76,17 @@ def test_benchmark_cache_counts_readable(name):
     assert isinstance(info.hits, int) and isinstance(info.misses, int)
 
 
+def test_benchmark_cache_divisor_counts_each_indexed_sentence():
+    # perfbench/run.py divides mbsl.cache_hit_ratio's hits by hits + misses:
+    # each sentence an MbslIndex reads must count one _sentence_profiles miss
+    from npchunk import WSJ_LIKE, derive_stream, generate_corpus, mbsl
+
+    corpus = generate_corpus(WSJ_LIKE, 30, derive_stream(1, "gen", 0))
+    before = mbsl._sentence_profiles.cache_info().misses
+    mbsl.MbslIndex(corpus, 6)
+    assert mbsl._sentence_profiles.cache_info().misses - before == len(corpus)
+
+
 def test_benchmark_model_reads():
     # perfbench/child.py counts mbsl.tiles and winnow.features through these
     # reads of the models it trains, and trains them through these calls

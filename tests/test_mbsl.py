@@ -1,6 +1,7 @@
 import gc
 import os
 import pickle
+import random
 import tempfile
 from unittest import mock
 
@@ -336,38 +337,63 @@ def _brute_profile(sentence, max_tile_len):
                    for l in range(1, min(max_tile_len, length - p) + 1))
 
 
+def _check_index_brute_force(corpus, max_tile_len):
+    """The index of corpus against brute-force window keys and counts."""
+    index = MbslIndex(corpus, max_tile_len)
+    # keys are distinct, and each is its parent extended by one step
+    keys = _keys(index)
+    assert len(set(keys)) == len(keys) == len(index.parent)
+    for k, up in enumerate(index.parent):
+        assert up < k
+        seq, opens, closes = keys[k]
+        last = len(seq) - 1
+        assert (keys[up] if up >= 0 else ((), (), ())) == (
+            seq[:last], tuple(m for m in opens if m < last),
+            tuple(m for m in closes if m < last))
+    # each start ends at the key of its longest window
+    for sentence, ends in zip(corpus.sentences, index.ends, strict=True):
+        length = len(sentence)
+        assert [keys[k] for k in ends] == \
+            [_window_key(sentence, p, min(max_tile_len, length - p)) for p in range(length)]
+    # per key, the windows counted up the trie
+    assert dict(zip(keys, index.counts(range(len(corpus))).by_key)) == \
+        dict(sum((_brute_profile(sentence, max_tile_len) for sentence in corpus.sentences),
+                 Counter()))
+    # each distinct layout once and every one some key's; a key's layout
+    # holds its seq's length, and its borders are the brute-force ones,
+    # as the keys rebuilt from the layouts equal the brute-force keys above
+    assert len(set(index.layouts)) == len(index.layouts)
+    assert set(index.key_layout) == set(range(len(index.layouts)))
+    assert [index.layouts[layout] for layout in index.key_layout] == \
+        [(len(seq), opens, closes) for seq, opens, closes in keys]
+
+
 class TestProfileIndex:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @example(segments=[], max_tile_len=3)  # no tokens: no end, no key
     @example(segments=[(True, ["A", "B"]), (False, ["B", "A"])], max_tile_len=1)
     @given(segments=_segments, max_tile_len=st.integers(1, 7))
     def test_profiles_equal_brute_force(self, segments, max_tile_len):
-        sentence = _sentence(segments)
-        index = MbslIndex(Corpus((sentence,)), max_tile_len)
-        # keys are distinct, and each is its parent extended by one step
-        keys = _keys(index)
-        assert len(set(keys)) == len(keys) == len(index.parent)
-        for k, up in enumerate(index.parent):
-            assert up < k
-            seq, opens, closes = keys[k]
-            last = len(seq) - 1
-            assert (keys[up] if up >= 0 else ((), (), ())) == (
-                seq[:last], tuple(m for m in opens if m < last),
-                tuple(m for m in closes if m < last))
-        # each start ends at the key of its longest window
-        length = len(sentence)
-        assert [keys[k] for k in index.ends[0]] == \
-            [_window_key(sentence, p, min(max_tile_len, length - p)) for p in range(length)]
-        # per key, the windows counted up the trie
-        assert dict(zip(keys, index.counts([0]).by_key)) == \
-            dict(_brute_profile(sentence, max_tile_len))
-        # each distinct layout once and every one some key's; a key's layout
-        # holds its seq's length, and its borders are the brute-force ones,
-        # as the keys rebuilt from the layouts equal the brute-force keys above
-        assert len(set(index.layouts)) == len(index.layouts)
-        assert set(index.key_layout) == set(range(len(index.layouts)))
-        assert [index.layouts[layout] for layout in index.key_layout] == \
-            [(len(seq), opens, closes) for seq, opens, closes in keys]
+        _check_index_brute_force(Corpus((_sentence(segments),)), max_tile_len)
+
+    @pytest.mark.parametrize("max_tile_len", [1, 3, 6])
+    def test_profiles_equal_brute_force_over_many_tags(self, max_tile_len):
+        # 320 tags, each twice: steps (4 * tag id + marks) pass 1024, and
+        # the key edges are 1280 wide
+        rng = random.Random(5)
+        stream = [f"T{i}" for i in range(320)] * 2
+        rng.shuffle(stream)
+        sentences, at = [], 0
+        while at < len(stream):
+            segments = []
+            for _ in range(rng.randint(1, 8)):
+                size = rng.randint(1, 4)
+                segments.append((rng.random() < 0.5, stream[at:at + size]))
+                at += size
+            sentences.append(_sentence([seg for seg in segments if seg[1]]))
+        corpus = Corpus(tuple(sentences))
+        assert len({tag for s in corpus.sentences for tag in s.pos_tags}) == 320
+        _check_index_brute_force(corpus, max_tile_len)
 
     def test_counts_rejects_unknown_ids(self):
         corpus = Corpus((sent(["DT", "NN"], [(0, 2)]), sent(["VBD"], [])))
